@@ -17,7 +17,7 @@
 //                  and then retires (results drained into the shard's
 //                  archive)
 //   new engine   owns every window closing > B: it is instantiated from
-//                  the new CompiledPlanHandle when the in-band swap
+//                  the new CompiledPlanHandle when the in-band control
 //                  marker arrives, receives every event at or above the
 //                  first such window's start (events in the overlap
 //                  [B+slide-length, B) are TEED to both engines), and a
@@ -28,12 +28,19 @@
 // events the sorted stream puts in it, finalized cells stay bit-identical
 // to an oracle run under any swap schedule (tests/adaptive_swap_test.cc).
 //
-// Commands carry a shared_ptr plan handle, which cannot ride inside an
-// Event; they travel in a side queue per shard while an in-band MARKER
-// punctuation (type kSwapMarkerType) holds the swap's position relative
-// to data events through the batch queues — the same trick watermarks
-// use. The runtime pushes the command strictly before broadcasting the
-// marker, so the worker always finds the command when the marker arrives.
+// The same cut serves checkpoints (src/checkpoint/): a checkpoint quiesces
+// every shard at the marker position and serializes its executor there.
+// Both operations therefore share one mechanism. The runtime stages ONE
+// ControlCommand in every shard's control slot, then broadcasts ONE
+// in-band control marker (type kControlMarkerType) that holds the cut's
+// position relative to data events through the batch queues — the same
+// trick watermarks use. The command travels beside the stream because a
+// shared_ptr plan handle cannot ride inside an Event; it is staged
+// strictly before the marker is broadcast, so the worker always finds it
+// when the marker arrives, and dispatches on its kind. A slot holds one
+// command at a time, so at most one control op (a swap or a checkpoint)
+// is in flight: a checkpoint never cuts a dual run, and a swap never
+// starts between a checkpoint's command and its marker.
 //
 // With several ingest partitions the marker is broadcast on EVERY
 // partition's channels; a shard executes the operation only once the
@@ -47,6 +54,7 @@
 #define SHARON_RUNTIME_PLAN_SWAP_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/common/event.h"
 #include "src/common/time.h"
@@ -54,39 +62,24 @@
 
 namespace sharon::runtime {
 
-/// Punctuation type of the in-band swap marker (kInvalidType is taken by
-/// watermarks). Markers are runtime-internal: they are broadcast by
-/// ShardedRuntime::RequestPlanSwap and consumed by Shard workers, never
+/// Punctuation type of the in-band control marker (kInvalidType is taken
+/// by watermarks). Markers are runtime-internal: they are broadcast by
+/// ShardedRuntime's control requests and consumed by Shard workers, never
 /// fed to an executor.
-inline constexpr EventTypeId kSwapMarkerType = static_cast<EventTypeId>(-2);
+inline constexpr EventTypeId kControlMarkerType =
+    static_cast<EventTypeId>(-2);
 
-/// Builds the in-band marker that triggers pickup of a pending swap.
-inline Event SwapMarkerEvent() {
+/// Builds the in-band marker that runs the command staged in a shard's
+/// control slot.
+inline Event ControlMarkerEvent() {
   Event e;
-  e.type = kSwapMarkerType;
+  e.type = kControlMarkerType;
   return e;
 }
 
-/// True if `e` is a swap marker rather than a data event or watermark.
-inline bool IsSwapMarker(const Event& e) { return e.type == kSwapMarkerType; }
-
-/// Punctuation type of the in-band checkpoint marker (src/checkpoint/):
-/// broadcast by ShardedRuntime::RequestCheckpoint with the same ordering
-/// discipline as swap markers, consumed by Shard workers, which quiesce
-/// and serialize their executor state at the marker position.
-inline constexpr EventTypeId kCheckpointMarkerType =
-    static_cast<EventTypeId>(-3);
-
-/// Builds the in-band marker that triggers a staged checkpoint write.
-inline Event CheckpointMarkerEvent() {
-  Event e;
-  e.type = kCheckpointMarkerType;
-  return e;
-}
-
-/// True if `e` is a checkpoint marker.
-inline bool IsCheckpointMarker(const Event& e) {
-  return e.type == kCheckpointMarkerType;
+/// True if `e` is a control marker rather than a data event or watermark.
+inline bool IsControlMarker(const Event& e) {
+  return e.type == kControlMarkerType;
 }
 
 /// Typed refusal codes for the runtime's control operations (plan swap
@@ -95,26 +88,35 @@ inline bool IsCheckpointMarker(const Event& e) {
 /// swaps and checkpoints (a checkpoint is refused kSwapInFlight while a
 /// swap drains, a swap is refused kCheckpointInFlight while a checkpoint
 /// marker is still in the queues; tests/checkpoint_test.cc regression-
-/// tests both orders).
+/// tests both orders). The numbers are exported as the `a` payload of
+/// kSwapRejected/kCheckpointRejected trace events, so they never change.
 enum class OpRefusal : uint8_t {
-  kNone = 0,            ///< accepted
-  kNotRunning,          ///< runtime failed to construct or already finished
-  kNotUniform,          ///< operation requires uniform-Engine shards
-  kNoDisorderPolicy,    ///< operation requires watermarks
-  kMultiProducer,       ///< historical (pre-marker-alignment); never returned
-  kBadPlan,             ///< null plan or plan from a different workload
-  kSwapInFlight,        ///< a plan swap has not retired on every shard yet
-  kCheckpointInFlight,  ///< a checkpoint has not completed on every shard
-  kShardRefused,        ///< a shard rejected the staged command
-  kIoError,             ///< checkpoint directory/file write failed
+  kNone = 0,                ///< accepted
+  kNotRunning = 1,          ///< runtime failed to construct or already finished
+  kNotUniform = 2,          ///< operation requires uniform-Engine shards
+  kNoDisorderPolicy = 3,    ///< operation requires watermarks
+  // 4 is retired: it refused multi-producer cuts before markers aligned
+  // per channel.
+  kBadPlan = 5,             ///< null plan or plan from a different workload
+  kSwapInFlight = 6,        ///< a plan swap has not retired on every shard yet
+  kCheckpointInFlight = 7,  ///< a checkpoint has not completed on every shard
+  kShardRefused = 8,        ///< a shard rejected the staged command
+  kIoError = 9,             ///< checkpoint directory/file write failed
 };
 
-/// One plan swap, as handed to a shard (side-channel; the in-band marker
-/// only says "pop the next command").
-struct SwapCommand {
-  uint64_t id = 0;             ///< swap sequence number (runtime-wide)
-  Timestamp boundary = 0;      ///< window close B separating old/new plan
-  CompiledPlanHandle plan;     ///< compiled new plan, shared by all shards
+/// Which control operation holds a shard's control slot.
+enum class ControlKind : uint8_t { kNone, kSwap, kCheckpoint };
+
+/// One control operation, as staged in every shard's control slot (side
+/// channel; the in-band marker only says "run the staged command"). A
+/// swap fills `plan`; a checkpoint fills `num_shards` and `dir`.
+struct ControlCommand {
+  ControlKind kind = ControlKind::kNone;
+  uint64_t id = 0;          ///< sequence number within its kind
+  Timestamp boundary = 0;   ///< window close B of the cut
+  CompiledPlanHandle plan;  ///< swap: compiled new plan, shared by all shards
+  size_t num_shards = 0;    ///< checkpoint: topology for the shard header
+  std::string dir;          ///< checkpoint: directory of the shard files
 };
 
 /// What one shard measured for one completed swap (worker-owned; read

@@ -1,7 +1,9 @@
 #include "src/runtime/shard.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
+#include <utility>
 
 #include "src/checkpoint/checkpoint.h"
 
@@ -125,7 +127,7 @@ void Shard::Process(const EventBatch& batch, size_t channel_idx) {
 }
 
 void Shard::HandleEvent(const Event& e, size_t p) {
-  if (IsSwapMarker(e) || IsCheckpointMarker(e)) {
+  if (IsControlMarker(e)) {
     OnControlMarker(e, p);
     return;
   }
@@ -178,11 +180,16 @@ void Shard::OnControlMarker(const Event& e, size_t p) {
   // events (and any held next-op marker) see a fresh round.
   std::fill(marker_seen_.begin(), marker_seen_.end(), 0);
   markers_seen_ = 0;
-  if (IsSwapMarker(e)) {
-    BeginSwap();
-  } else {
-    WriteCheckpoint();
+  ControlCommand cmd;
+  {
+    std::lock_guard<std::mutex> lock(control_mu_);
+    cmd = std::exchange(staged_, ControlCommand{});
   }
+  if (cmd.kind == ControlKind::kSwap) {
+    BeginSwap(std::move(cmd));
+  } else if (cmd.kind == ControlKind::kCheckpoint) {
+    WriteCheckpoint(cmd);
+  }  // kNone: spurious marker, nothing staged
   for (size_t q = 0; q < held_.size(); ++q) {
     if (held_[q].empty()) continue;
     EventBatch replay = std::move(held_[q]);
@@ -191,20 +198,10 @@ void Shard::OnControlMarker(const Event& e, size_t p) {
   }
 }
 
-void Shard::BeginSwap() {
-  SwapCommand cmd;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    if (pending_swaps_.empty()) return;  // spurious marker; nothing staged
-    cmd = std::move(pending_swaps_.front());
-    pending_swaps_.pop_front();
-  }
-  // Guarded by the producer (one swap in flight, Engine shards only,
-  // disorder enabled); bail defensively if those invariants are violated.
-  if (!engine_ || !disorder_.enabled || swap_active_ || !cmd.plan) {
-    swap_in_flight_.store(false, std::memory_order_release);
-    return;
-  }
+void Shard::BeginSwap(ControlCommand cmd) {
+  // Stage admits a swap only on an Engine shard with a disorder policy,
+  // and only into an empty slot — so no earlier swap is still active.
+  assert(engine_ && disorder_.enabled && !swap_active_ && cmd.plan);
   swap_ = std::move(cmd);
   const WindowSpec& window = engine_->compiled().window;
   tee_from_ = window.Valid()
@@ -269,64 +266,39 @@ void Shard::RetireOldEngine() {
                     static_cast<int64_t>(swap_record_.id),
                     static_cast<int64_t>(swap_record_.teed_events));
   }
-  swap_in_flight_.store(false, std::memory_order_release);
+  in_flight_.store(ControlKind::kNone, std::memory_order_release);
 }
 
-bool Shard::PushSwapCommand(const SwapCommand& cmd) {
-  if (!engine_mode_ || !disorder_.enabled || !cmd.plan) return false;
-  if (swap_in_flight_.load(std::memory_order_acquire)) return false;
-  // Mutually exclusive with checkpoints: a swap picked up between a
-  // checkpoint command and its marker would make the cut ambiguous (two
-  // engines, neither owning the full window set).
-  if (checkpoint_in_flight_.load(std::memory_order_acquire)) return false;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    pending_swaps_.push_back(cmd);
+bool Shard::Stage(const ControlCommand& cmd) {
+  if (in_flight() != ControlKind::kNone) return false;
+  if (cmd.kind == ControlKind::kSwap &&
+      (!engine_mode_ || !disorder_.enabled || !cmd.plan)) {
+    return false;
   }
-  swap_in_flight_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(control_mu_);
+    staged_ = cmd;
+  }
+  in_flight_.store(cmd.kind, std::memory_order_release);
   return true;
 }
 
-void Shard::CancelSwapCommand() {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  if (pending_swaps_.empty()) return;  // worker already consumed it
-  pending_swaps_.pop_back();
-  swap_in_flight_.store(false, std::memory_order_release);
-}
-
-bool Shard::PushCheckpointCommand(const CheckpointCommand& cmd) {
-  if (checkpoint_in_flight_.load(std::memory_order_acquire)) return false;
-  // Mutually exclusive with swaps (see PushSwapCommand): a cut during the
-  // dual-run would have to serialize BOTH engines plus the tee position.
-  if (swap_in_flight_.load(std::memory_order_acquire)) return false;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    pending_checkpoints_.push_back(cmd);
-  }
-  checkpoint_in_flight_.store(true, std::memory_order_release);
-  return true;
-}
-
-void Shard::CancelCheckpointCommand() {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  if (pending_checkpoints_.empty()) return;  // worker already consumed it
-  pending_checkpoints_.pop_back();
-  checkpoint_in_flight_.store(false, std::memory_order_release);
+void Shard::Unstage() {
+  std::lock_guard<std::mutex> lock(control_mu_);
+  if (staged_.kind == ControlKind::kNone) return;  // worker picked it up
+  staged_ = ControlCommand{};
+  in_flight_.store(ControlKind::kNone, std::memory_order_release);
 }
 
 Shard::CheckpointOutcome Shard::checkpoint_outcome() const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
+  std::lock_guard<std::mutex> lock(control_mu_);
   return checkpoint_outcome_;
 }
 
-void Shard::WriteCheckpoint() {
-  CheckpointCommand cmd;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    if (pending_checkpoints_.empty()) return;  // spurious marker
-    cmd = std::move(pending_checkpoints_.front());
-    pending_checkpoints_.pop_front();
-  }
+void Shard::WriteCheckpoint(const ControlCommand& cmd) {
+  // The slot admits a checkpoint only once a swap retired, so the cut
+  // never lands mid-dual-run (it would need both engines and the tee).
+  assert(!swap_active_);
   CheckpointOutcome outcome;
   outcome.watermark = merged_watermark_;
   if (obs_cells_ && obs_cells_->checkpoints_quiesced) {
@@ -336,41 +308,35 @@ void Shard::WriteCheckpoint() {
     obs_ring_->Emit(obs::TraceKind::kCheckpointQuiesce, merged_watermark_,
                     static_cast<int64_t>(cmd.id));
   }
-  if (swap_active_) {
-    // Guarded producer-side (swaps and checkpoints are mutually
-    // exclusive); record the violation instead of writing an ambiguous
-    // cut.
-    outcome.error = "checkpoint marker arrived during an active plan swap";
-  } else {
-    checkpoint::ShardCheckpointInput in;
-    in.checkpoint_id = cmd.id;
-    in.boundary = cmd.boundary;
-    in.shard_index = index_;
-    in.num_shards = cmd.num_shards;
-    in.merged_watermark = merged_watermark_;
-    in.engine = engine_.get();
-    in.multi = multi_.get();
-    in.archive = &archived_;
-    in.retired = &retired_wm_;
-    const std::vector<uint8_t> bytes = checkpoint::EncodeShardCheckpoint(in);
-    outcome.bytes = bytes.size();
-    outcome.error = checkpoint::WriteFileBytes(cmd.path, bytes);
-    if (outcome.error.empty()) {
-      if (obs_cells_ && obs_cells_->checkpoint_bytes) {
-        obs_cells_->checkpoint_bytes->Add(outcome.bytes);
-      }
-      if (obs_ring_) {
-        obs_ring_->Emit(obs::TraceKind::kCheckpointShardDone, cmd.boundary,
-                        static_cast<int64_t>(cmd.id),
-                        static_cast<int64_t>(outcome.bytes));
-      }
+  checkpoint::ShardCheckpointInput in;
+  in.checkpoint_id = cmd.id;
+  in.boundary = cmd.boundary;
+  in.shard_index = index_;
+  in.num_shards = cmd.num_shards;
+  in.merged_watermark = merged_watermark_;
+  in.engine = engine_.get();
+  in.multi = multi_.get();
+  in.archive = &archived_;
+  in.retired = &retired_wm_;
+  const std::vector<uint8_t> bytes = checkpoint::EncodeShardCheckpoint(in);
+  outcome.bytes = bytes.size();
+  outcome.error = checkpoint::WriteFileBytes(
+      cmd.dir + "/" + checkpoint::ShardFileName(index_), bytes);
+  if (outcome.error.empty()) {
+    if (obs_cells_ && obs_cells_->checkpoint_bytes) {
+      obs_cells_->checkpoint_bytes->Add(outcome.bytes);
+    }
+    if (obs_ring_) {
+      obs_ring_->Emit(obs::TraceKind::kCheckpointShardDone, cmd.boundary,
+                      static_cast<int64_t>(cmd.id),
+                      static_cast<int64_t>(outcome.bytes));
     }
   }
   {
-    std::lock_guard<std::mutex> lock(swap_mu_);
+    std::lock_guard<std::mutex> lock(control_mu_);
     checkpoint_outcome_ = std::move(outcome);
   }
-  checkpoint_in_flight_.store(false, std::memory_order_release);
+  in_flight_.store(ControlKind::kNone, std::memory_order_release);
 }
 
 void Shard::RestoreFrontier(Timestamp merged) {

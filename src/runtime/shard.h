@@ -32,7 +32,6 @@
 #define SHARON_RUNTIME_SHARD_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -50,18 +49,6 @@ namespace sharon::runtime {
 
 /// A batch of events owned by the queue while in flight.
 using EventBatch = std::vector<Event>;
-
-/// One checkpoint, as handed to a shard (side-channel, like SwapCommand;
-/// the in-band checkpoint marker only says "write the next staged
-/// checkpoint"). The worker serializes its executor state at the marker
-/// position and writes `path` itself — shard files are written in
-/// parallel, the coordinator only writes the manifest afterwards.
-struct CheckpointCommand {
-  uint64_t id = 0;         ///< checkpoint sequence number (runtime-wide)
-  Timestamp boundary = 0;  ///< watermark-aligned boundary recorded for the cut
-  size_t num_shards = 0;   ///< topology recorded into the shard header
-  std::string path;        ///< target file for THIS shard's frames
-};
 
 /// One (producer, shard) link: filled batches travel producer -> worker
 /// through `full`; emptied buffers travel worker -> producer through
@@ -128,40 +115,30 @@ class Shard {
   /// Producer side: no more batches will be enqueued on any channel.
   void SignalDone() { done_.store(true, std::memory_order_release); }
 
-  /// Producer side: stages a plan-swap command for pickup by the next
-  /// in-band swap marker (src/runtime/plan_swap.h). Must be followed by a
-  /// marker broadcast ordered after it; false if this shard cannot swap
-  /// (MultiEngine mode) or a swap is already in flight.
-  bool PushSwapCommand(const SwapCommand& cmd);
+  /// Producer side: stages `cmd` in this shard's control slot for the
+  /// next in-band control marker (src/runtime/plan_swap.h). Must be
+  /// followed by a marker broadcast ordered after it. False while the
+  /// slot is taken — one swap or checkpoint at a time — or for a swap
+  /// this shard cannot run (MultiEngine mode, no disorder policy, null
+  /// plan).
+  bool Stage(const ControlCommand& cmd);
 
-  /// Producer side: un-stages a command pushed by PushSwapCommand whose
-  /// marker has NOT been broadcast (partial-broadcast rollback).
-  void CancelSwapCommand();
+  /// Producer side: empties a slot filled by Stage whose marker has NOT
+  /// been broadcast (partial-broadcast rollback).
+  void Unstage();
 
-  /// True from PushSwapCommand until the worker retires the old engine.
-  bool swap_in_flight() const {
-    return swap_in_flight_.load(std::memory_order_acquire);
+  /// The kind of control op holding the slot: set by Stage, cleared by
+  /// Unstage or by the worker once the op completed (swap: old engine
+  /// retired; checkpoint: shard file written or failed).
+  ControlKind in_flight() const {
+    return in_flight_.load(std::memory_order_acquire);
   }
 
-  /// Producer side: stages a checkpoint for pickup by the next in-band
-  /// checkpoint marker (src/checkpoint/). Must be followed by a marker
-  /// broadcast ordered after it; false while a swap or another checkpoint
-  /// is in flight (the two operations are mutually exclusive — each needs
-  /// the executor set it cuts to be unambiguous).
-  bool PushCheckpointCommand(const CheckpointCommand& cmd);
-
-  /// Producer side: un-stages a command pushed by PushCheckpointCommand
-  /// whose marker has NOT been broadcast (partial-broadcast rollback).
-  void CancelCheckpointCommand();
-
-  /// True from PushCheckpointCommand until the worker wrote (or failed to
-  /// write) its shard file.
-  bool checkpoint_in_flight() const {
-    return checkpoint_in_flight_.load(std::memory_order_acquire);
-  }
+  /// True from staging a swap until the worker retires the old engine.
+  bool swap_in_flight() const { return in_flight() == ControlKind::kSwap; }
 
   /// Outcome of the most recent completed checkpoint on this shard.
-  /// Meaningful once checkpoint_in_flight() dropped back to false.
+  /// Meaningful once in_flight() dropped back from kCheckpoint.
   struct CheckpointOutcome {
     std::string error;  ///< empty on success
     size_t bytes = 0;   ///< shard file size
@@ -246,8 +223,8 @@ class Shard {
   /// for events held behind an aligned channel's marker.
   void HandleEvent(const Event& e, size_t p);
   /// Folds a control marker from channel `p` into the alignment state;
-  /// executes the staged operation once every channel's marker arrived,
-  /// then replays the held events.
+  /// runs the command in the control slot once every channel's marker
+  /// arrived, then replays the held events.
   void OnControlMarker(const Event& e, size_t p);
   /// Returns the emptied buffer to channel `p`'s free ring.
   void Recycle(size_t p, EventBatch&& batch);
@@ -256,7 +233,7 @@ class Shard {
   void MergeWatermark(size_t p, Timestamp t);
 
   // --- plan hot-swap (worker thread only; see plan_swap.h) -------------
-  void BeginSwap();
+  void BeginSwap(ControlCommand cmd);
   void ApplyWatermark(Timestamp t);
   void RetireOldEngine();
   Timestamp SwapWatermarkCap() const {
@@ -299,27 +276,22 @@ class Shard {
   obs::ShardCells* obs_cells_ = nullptr;
   obs::TraceRing* obs_ring_ = nullptr;
 
-  /// Worker thread only: pops the staged checkpoint command at the
-  /// in-band marker, serializes the executor state and writes the shard
-  /// file (src/checkpoint/).
-  void WriteCheckpoint();
+  /// Worker thread only: serializes the executor state at the marker
+  /// and writes this shard's file of checkpoint `cmd` (src/checkpoint/).
+  /// Workers write their files in parallel; the coordinator only writes
+  /// the manifest afterwards.
+  void WriteCheckpoint(const ControlCommand& cmd);
 
-  // Swap state. Producer stages commands under swap_mu_; the worker owns
-  // everything else. swap_in_flight_ is the cross-thread handshake: set by
-  // the producer on push, cleared by the worker at retirement.
-  mutable std::mutex swap_mu_;
-  std::deque<SwapCommand> pending_swaps_;
-  std::atomic<bool> swap_in_flight_{false};
-
-  // Checkpoint state, same discipline as the swap state: commands staged
-  // under swap_mu_, checkpoint_in_flight_ set by the producer on push and
-  // cleared by the worker after the file write; the outcome fields are
-  // written by the worker under swap_mu_ before the flag clears.
-  std::deque<CheckpointCommand> pending_checkpoints_;
-  std::atomic<bool> checkpoint_in_flight_{false};
+  // Control slot. The producer stages under control_mu_; the worker owns
+  // everything else. in_flight_ is the cross-thread handshake: set by the
+  // producer on Stage, cleared by the worker when the op completes. The
+  // checkpoint outcome is written under control_mu_ before it clears.
+  mutable std::mutex control_mu_;
+  ControlCommand staged_;  ///< kind kNone while the slot is empty
+  std::atomic<ControlKind> in_flight_{ControlKind::kNone};
   CheckpointOutcome checkpoint_outcome_;
   bool swap_active_ = false;       ///< worker picked the command up
-  SwapCommand swap_;               ///< the active swap
+  ControlCommand swap_;            ///< the active swap
   Timestamp tee_from_ = 0;         ///< overlap start B + slide - length
   std::unique_ptr<Engine> next_engine_;
   StopWatch swap_watch_;

@@ -273,110 +273,37 @@ void ShardedRuntime::IngestWatermark(Timestamp t) {
 
 ShardedRuntime::SwapRequest ShardedRuntime::RequestPlanSwap(
     CompiledPlanHandle plan) {
-  SwapRequest req;
-  auto refuse = [&](OpRefusal code, const char* why) {
-    req.code = code;
-    req.reason = why;
-    // Every refusal is visible to operators: PlanManager counts only its
-    // own rejections, so without this the runtime-side refusals (direct
-    // callers, races with in-flight ops) would be silent.
-    if (telemetry_) {
-      obs::ControlCells& cc = telemetry_->control_cells();
-      if (cc.swaps_rejected) cc.swaps_rejected->Inc();
-      if (obs::TraceRing* ring = telemetry_->control_ring()) {
-        ring->Emit(obs::TraceKind::kSwapRejected, kNoWatermark,
-                   static_cast<int64_t>(code));
-      }
-    }
-    return req;
-  };
+  constexpr ControlKind kSwap = ControlKind::kSwap;
   if (!ok() || finished_) {
-    return refuse(OpRefusal::kNotRunning, "runtime not running");
+    return Refuse(kSwap, OpRefusal::kNotRunning, "runtime not running");
   }
   if (!workload_) {
-    return refuse(
-        OpRefusal::kNotUniform,
+    return Refuse(
+        kSwap, OpRefusal::kNotUniform,
         "plan swap requires the uniform-workload runtime (MultiEngine "
         "shards re-plan per segment; rebuild the runtime instead)");
   }
   if (!options_.disorder.enabled) {
-    return refuse(
-        OpRefusal::kNoDisorderPolicy,
+    return Refuse(
+        kSwap, OpRefusal::kNoDisorderPolicy,
         "plan swap requires a disorder policy: watermarks are what drain "
         "and retire the old engines");
   }
-  if (!plan) return refuse(OpRefusal::kBadPlan, "null compiled plan");
+  if (!plan) return Refuse(kSwap, OpRefusal::kBadPlan, "null compiled plan");
   if (plan->partition != partition_ || !(plan->window == window_)) {
-    return refuse(OpRefusal::kBadPlan,
+    return Refuse(kSwap, OpRefusal::kBadPlan,
                   "new plan was compiled for a different workload");
   }
-  for (const auto& shard : shards_) {
-    if (shard->swap_in_flight()) {
-      return refuse(OpRefusal::kSwapInFlight,
-                    "previous swap still in flight");
-    }
-  }
-  // Mutually exclusive with checkpoints, in both orders (the reverse one
-  // is enforced in RequestCheckpoint): a swap command staged while the
-  // checkpoint marker is still in the queues would let the marker land
-  // mid-dual-run, making the cut ambiguous.
-  if (checkpoint_job_) {
-    if (CheckpointInFlight()) {
-      return refuse(OpRefusal::kCheckpointInFlight,
-                    "checkpoint still in flight: its marker has not "
-                    "reached every shard yet");
-    }
-    FinalizeCheckpoint();  // all shards done — seal it, then swap freely
-  }
-  if (!started_.load(std::memory_order_acquire)) Start();
-
-  // Boundary: the close of the last window whose start covers the ingest
-  // high-mark — the MAX over all producers' high marks, since with
-  // several partitions each has routed events up to its own. Every event
-  // routed so far has time <= that high-mark, and the first window
-  // closing after B starts at B + slide - length > high-mark — so no
-  // event of a new-plan window has been routed yet, and the overlap tee
-  // (shard.cc) sees all of them.
-  SwapCommand cmd;
-  cmd.id = ++swaps_requested_;
-  cmd.boundary =
-      window_.WindowEnd(window_.LastWindowCovering(IngestHighMark()));
+  if (auto busy = RefuseIfInFlight(kSwap)) return *busy;
+  ControlCommand cmd;
+  cmd.kind = kSwap;
   cmd.plan = std::move(plan);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]->PushSwapCommand(cmd)) {
-      // Un-arm the shards already staged: their markers were not
-      // broadcast yet, so cancelling producer-side is safe and leaves no
-      // shard stuck with swap_in_flight set.
-      for (size_t j = 0; j < i; ++j) shards_[j]->CancelSwapCommand();
-      --swaps_requested_;
-      return refuse(OpRefusal::kShardRefused, "shard refused swap command");
-    }
-  }
-  // In-band markers, ordered after everything ingested so far — same
-  // broadcast discipline as watermarks, through EVERY partition's
-  // channels. Each shard quiesces only once the marker of every channel
-  // arrived (Shard::OnControlMarker), so the cut is ordered after
-  // everything every producer routed. The caller must have externally
-  // synchronized with all producer threads (see the header contract).
-  BroadcastControlMarker(SwapMarkerEvent());
+  const SwapRequest req = StageControl(cmd);
   // The accepted plan is the incumbent from here on. A checkpoint is only
   // allowed once no swap is in flight — i.e. once every shard runs THIS
   // plan — so the handle recorded for the checkpoint fingerprint must
   // follow the swap, not stay at the constructor plan.
-  compiled_ = cmd.plan;
-  req.accepted = true;
-  req.id = cmd.id;
-  req.boundary = cmd.boundary;
-  if (telemetry_) {
-    obs::ControlCells& cc = telemetry_->control_cells();
-    if (cc.swap_requests) cc.swap_requests->Inc();
-    if (obs::TraceRing* ring = telemetry_->control_ring()) {
-      ring->Emit(obs::TraceKind::kSwapRequested, kNoWatermark,
-                 static_cast<int64_t>(cmd.id));
-      ring->Emit(obs::TraceKind::kSwapBoundary, cmd.boundary,
-                 static_cast<int64_t>(cmd.id));
-    }
-  }
+  if (req.accepted) compiled_ = std::move(cmd.plan);
   return req;
 }
 
@@ -392,7 +319,100 @@ Timestamp ShardedRuntime::IngestHighMark() const {
   return high_mark;
 }
 
-void ShardedRuntime::BroadcastControlMarker(const Event& marker) {
+// --- the shared control path --------------------------------------------
+
+ShardedRuntime::ControlRequest ShardedRuntime::Refuse(ControlKind kind,
+                                                      OpRefusal code,
+                                                      std::string reason) {
+  // Every refusal is visible to operators: PlanManager counts only its
+  // own rejections, so without this the runtime-side refusals (direct
+  // callers, races with in-flight ops) would be silent.
+  if (telemetry_) {
+    const bool swap = kind == ControlKind::kSwap;
+    obs::ControlCells& cc = telemetry_->control_cells();
+    obs::CounterCell* rejected =
+        swap ? cc.swaps_rejected : cc.checkpoints_rejected;
+    if (rejected) rejected->Inc();
+    if (obs::TraceRing* ring = telemetry_->control_ring()) {
+      ring->Emit(swap ? obs::TraceKind::kSwapRejected
+                      : obs::TraceKind::kCheckpointRejected,
+                 kNoWatermark, static_cast<int64_t>(code));
+    }
+  }
+  ControlRequest req;
+  req.code = code;
+  req.reason = std::move(reason);
+  return req;
+}
+
+ControlKind ShardedRuntime::InFlightKind() const {
+  for (const auto& shard : shards_) {
+    const ControlKind kind = shard->in_flight();
+    if (kind != ControlKind::kNone) return kind;
+  }
+  return ControlKind::kNone;
+}
+
+std::optional<ShardedRuntime::ControlRequest>
+ShardedRuntime::RefuseIfInFlight(ControlKind kind) {
+  // One control slot per shard holds either op, so whichever is in flight
+  // refuses both: a checkpoint cut mid-dual-run would have to serialize
+  // two engines plus the tee position, and a swap staged while a
+  // checkpoint marker is still in the queues would let that marker land
+  // mid-dual-run. Callers retry once the op completed.
+  const ControlKind busy = InFlightKind();
+  if (busy == ControlKind::kSwap) {
+    return Refuse(kind, OpRefusal::kSwapInFlight,
+                  "plan swap still in flight: retry once it retires");
+  }
+  if (checkpoint_job_) {
+    if (busy == ControlKind::kCheckpoint) {
+      return Refuse(kind, OpRefusal::kCheckpointInFlight,
+                    "checkpoint still in flight: its marker has not "
+                    "reached every shard yet");
+    }
+    FinalizeCheckpoint();  // all shards done — seal it first
+  }
+  return std::nullopt;
+}
+
+ShardedRuntime::ControlRequest ShardedRuntime::StageControl(
+    ControlCommand& cmd) {
+  if (!started_.load(std::memory_order_acquire)) Start();
+  uint64_t& requested = cmd.kind == ControlKind::kSwap
+                            ? swaps_requested_
+                            : checkpoints_requested_;
+  cmd.id = ++requested;
+  // Boundary: the close of the last window whose start covers the ingest
+  // high-mark — the MAX over all producers' high marks, since with
+  // several partitions each has routed events up to its own. Every event
+  // routed so far has time <= that high-mark, and the first window
+  // closing after B starts at B + slide - length > high-mark — so no
+  // event of a new-plan window has been routed yet, and the overlap tee
+  // (shard.cc) sees all of them. MultiEngine workloads have several
+  // grids; their checkpoints record the high-mark itself.
+  const Timestamp high_mark = IngestHighMark();
+  cmd.boundary = workload_ && window_.Valid()
+                     ? window_.WindowEnd(window_.LastWindowCovering(high_mark))
+                     : high_mark;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (!shards_[i]->Stage(cmd)) {
+      // Un-arm the shards already staged: their markers were not
+      // broadcast yet, so unstaging producer-side is safe and leaves no
+      // shard with its control slot stuck.
+      for (size_t j = 0; j < i; ++j) shards_[j]->Unstage();
+      --requested;
+      return Refuse(cmd.kind, OpRefusal::kShardRefused,
+                    "shard refused the staged command");
+    }
+  }
+  // In-band markers, ordered after everything ingested so far — same
+  // broadcast discipline as watermarks, through EVERY partition's
+  // channels. Each shard runs the command only once the marker of every
+  // channel arrived (Shard::OnControlMarker), so the cut is ordered after
+  // everything every producer routed. The caller must have externally
+  // synchronized with all producer threads (see the header contract).
+  const Event marker = ControlMarkerEvent();
   for (auto& partition : partitions_) {
     for (size_t i = 0; i < shards_.size(); ++i) {
       EventBatch& batch = partition->PendingFor(i);
@@ -400,114 +420,70 @@ void ShardedRuntime::BroadcastControlMarker(const Event& marker) {
       if (batch.size() >= options_.batch_size) partition->PushBatch(i);
     }
   }
+  if (telemetry_) {
+    obs::ControlCells& cc = telemetry_->control_cells();
+    obs::TraceRing* ring = telemetry_->control_ring();
+    const int64_t id = static_cast<int64_t>(cmd.id);
+    if (cmd.kind == ControlKind::kSwap) {
+      if (cc.swap_requests) cc.swap_requests->Inc();
+      if (ring) {
+        ring->Emit(obs::TraceKind::kSwapRequested, kNoWatermark, id);
+        ring->Emit(obs::TraceKind::kSwapBoundary, cmd.boundary, id);
+      }
+    } else {
+      if (cc.checkpoint_requests) cc.checkpoint_requests->Inc();
+      if (ring) {
+        ring->Emit(obs::TraceKind::kCheckpointRequested, cmd.boundary, id);
+      }
+    }
+  }
+  ControlRequest req;
+  req.accepted = true;
+  req.id = cmd.id;
+  req.boundary = cmd.boundary;
+  return req;
 }
 
 // --- checkpoint/restore ------------------------------------------------------
 
 bool ShardedRuntime::CheckpointInFlight() const {
-  if (!checkpoint_job_) return false;
-  for (const auto& shard : shards_) {
-    if (shard->checkpoint_in_flight()) return true;
-  }
-  return false;
+  return checkpoint_job_ && InFlightKind() == ControlKind::kCheckpoint;
 }
 
 ShardedRuntime::CheckpointRequest ShardedRuntime::RequestCheckpoint(
     const std::string& dir) {
-  CheckpointRequest req;
-  auto refuse = [&](OpRefusal code, const std::string& why) {
-    req.code = code;
-    req.reason = why;
-    // Same operator-visibility discipline as RequestPlanSwap's refusals.
-    if (telemetry_) {
-      obs::ControlCells& cc = telemetry_->control_cells();
-      if (cc.checkpoints_rejected) cc.checkpoints_rejected->Inc();
-      if (obs::TraceRing* ring = telemetry_->control_ring()) {
-        ring->Emit(obs::TraceKind::kCheckpointRejected, kNoWatermark,
-                   static_cast<int64_t>(code));
-      }
-    }
-    return req;
-  };
+  constexpr ControlKind kCheckpoint = ControlKind::kCheckpoint;
   if (!ok() || finished_) {
-    return refuse(OpRefusal::kNotRunning, "runtime not running");
+    return Refuse(kCheckpoint, OpRefusal::kNotRunning, "runtime not running");
   }
   if (!options_.disorder.enabled) {
-    return refuse(
-        OpRefusal::kNoDisorderPolicy,
+    return Refuse(
+        kCheckpoint, OpRefusal::kNoDisorderPolicy,
         "checkpoint requires a disorder policy: the consistent cut is "
         "defined by watermark frontiers (src/checkpoint/checkpoint.h)");
   }
-  if (checkpoint_job_) {
-    if (CheckpointInFlight()) {
-      return refuse(OpRefusal::kCheckpointInFlight,
-                    "previous checkpoint still in flight");
-    }
-    FinalizeCheckpoint();
-  }
-  // Mutually exclusive with plan swaps (regression-tested in both orders,
-  // tests/checkpoint_test.cc): a cut during the dual-run would have to
-  // serialize two engines plus the tee position — refuse instead, the
-  // caller retries once the swap retired.
-  for (const auto& shard : shards_) {
-    if (shard->swap_in_flight()) {
-      return refuse(OpRefusal::kSwapInFlight,
-                    "plan swap in flight: checkpoint after it retires");
-    }
-  }
+  if (auto busy = RefuseIfInFlight(kCheckpoint)) return *busy;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
-    return refuse(OpRefusal::kIoError,
+    return Refuse(kCheckpoint, OpRefusal::kIoError,
                   "cannot create checkpoint directory " + dir + ": " +
                       ec.message());
   }
-  if (!started_.load(std::memory_order_acquire)) Start();
-
-  const Timestamp high_mark = IngestHighMark();
-  CheckpointCommand cmd;
-  cmd.id = ++checkpoints_requested_;
-  // The watermark-aligned boundary of the cut: the close of the last
-  // window whose start covers the ingest high-mark — max over producers,
-  // as in RequestPlanSwap (the grid point a plan swap would pick).
-  // MultiEngine workloads have several grids; record the high-mark
-  // itself.
-  cmd.boundary = workload_ && window_.Valid()
-                     ? window_.WindowEnd(window_.LastWindowCovering(high_mark))
-                     : high_mark;
+  ControlCommand cmd;
+  cmd.kind = kCheckpoint;
   cmd.num_shards = shards_.size();
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    cmd.path = dir + "/" + checkpoint::ShardFileName(i);
-    if (!shards_[i]->PushCheckpointCommand(cmd)) {
-      for (size_t j = 0; j < i; ++j) shards_[j]->CancelCheckpointCommand();
-      --checkpoints_requested_;
-      return refuse(OpRefusal::kShardRefused,
-                    "shard refused checkpoint command");
-    }
-  }
-  // In-band markers, ordered after everything ingested so far — the same
-  // broadcast discipline as watermarks and swap markers, through every
-  // partition's channels (see RequestPlanSwap).
-  BroadcastControlMarker(CheckpointMarkerEvent());
+  cmd.dir = dir;
+  const CheckpointRequest req = StageControl(cmd);
+  if (!req.accepted) return req;
   checkpoint_job_.emplace();
   checkpoint_job_->id = cmd.id;
   checkpoint_job_->boundary = cmd.boundary;
   checkpoint_job_->dir = dir;
   checkpoint_job_->watch.Reset();
-  checkpoint_job_->high_mark_at_cut = high_mark;
+  checkpoint_job_->high_mark_at_cut = IngestHighMark();
   for (const auto& partition : partitions_) {
     checkpoint_job_->events_at_cut += partition->stats().events;
-  }
-  req.accepted = true;
-  req.id = cmd.id;
-  req.boundary = cmd.boundary;
-  if (telemetry_) {
-    obs::ControlCells& cc = telemetry_->control_cells();
-    if (cc.checkpoint_requests) cc.checkpoint_requests->Inc();
-    if (obs::TraceRing* ring = telemetry_->control_ring()) {
-      ring->Emit(obs::TraceKind::kCheckpointRequested, cmd.boundary,
-                 static_cast<int64_t>(cmd.id));
-    }
   }
   return req;
 }

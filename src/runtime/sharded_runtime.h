@@ -174,14 +174,16 @@ class ShardedRuntime {
   /// finalization frontier is the minimum across shards (ResultMerger).
   void IngestWatermark(Timestamp t);
 
-  /// Outcome of a plan-swap request (see RequestPlanSwap).
-  struct SwapRequest {
+  /// Outcome of a control request (RequestPlanSwap, RequestCheckpoint).
+  struct ControlRequest {
     bool accepted = false;
     OpRefusal code = OpRefusal::kNone;  ///< typed refusal (when !accepted)
-    std::string reason;      ///< why the swap was refused (when !accepted)
-    uint64_t id = 0;         ///< swap sequence number (when accepted)
-    Timestamp boundary = 0;  ///< chosen window-aligned boundary B
+    std::string reason;      ///< why it was refused (when !accepted)
+    uint64_t id = 0;         ///< sequence number of its kind (when accepted)
+    Timestamp boundary = 0;  ///< chosen window-aligned boundary B of the cut
   };
+  using SwapRequest = ControlRequest;
+  using CheckpointRequest = ControlRequest;
 
   /// Hot-swaps the sharing plan of every shard at a watermark-aligned
   /// boundary (src/runtime/plan_swap.h). `plan` must be compiled from the
@@ -199,27 +201,23 @@ class ShardedRuntime {
   /// partition may have a concurrent Ingest in progress (a single thread
   /// driving all partitions satisfies this trivially).
   ///
-  /// Refused (accepted=false) when: the runtime is not uniform-Engine
-  /// mode, no disorder policy is enabled (swaps need watermarks to drain
-  /// the old engines), a previous swap is still in flight on some shard,
-  /// or the runtime already finished. Every refusal emits a
-  /// kSwapRejected trace event and bumps sharon_swaps_rejected_total.
+  /// Refused (accepted=false), checked in this order, when: the runtime
+  /// failed or finished (kNotRunning), is not uniform-Engine mode
+  /// (kNotUniform), has no disorder policy (kNoDisorderPolicy — swaps
+  /// need watermarks to drain the old engines), `plan` is null or foreign
+  /// (kBadPlan), or a control op is in flight (kSwapInFlight,
+  /// kCheckpointInFlight — one swap or checkpoint at a time). Every
+  /// refusal emits a kSwapRejected trace event and bumps
+  /// sharon_swaps_rejected_total.
   SwapRequest RequestPlanSwap(CompiledPlanHandle plan);
 
-  /// Plan swaps completed so far (valid after Finish(); see also
-  /// stats().plan_swaps).
+  /// Plan swaps ACCEPTED so far: counted when RequestPlanSwap accepts,
+  /// rolled back when a shard refuses the staged command, and seeded from
+  /// the manifest by Restore. Readable at any time from the control
+  /// thread. Completed swaps are stats().CompletedSwaps().
   uint64_t swaps_requested() const { return swaps_requested_; }
 
   // --- checkpoint/restore (src/checkpoint/; docs/OPERATIONS.md) ---------
-
-  /// Outcome of a checkpoint request (see RequestCheckpoint).
-  struct CheckpointRequest {
-    bool accepted = false;
-    OpRefusal code = OpRefusal::kNone;
-    std::string reason;
-    uint64_t id = 0;
-    Timestamp boundary = 0;  ///< watermark-aligned boundary of the cut
-  };
 
   /// Outcome of a completed (or refused/failed) checkpoint.
   struct CheckpointResult {
@@ -235,21 +233,23 @@ class ShardedRuntime {
 
   /// Snapshots the COMPLETE executor state of every shard into `dir`
   /// (created if missing) and blocks until the manifest is written:
-  /// stages a command per shard, broadcasts an in-band checkpoint marker
-  /// ordered after everything ingested so far (through every partition's
-  /// channels, each shard quiescing once all channels' markers arrived),
-  /// flushes every partition, and waits for each worker to quiesce at the
-  /// marker and write its shard file. With several partitions the caller
-  /// must be externally synchronized with all producer threads, exactly
-  /// as for RequestPlanSwap (the stall is the slowest shard's
-  /// serialization time — see RuntimeStats.checkpoints).
+  /// stages a command in every shard's control slot, broadcasts the
+  /// in-band control marker ordered after everything ingested so far
+  /// (through every partition's channels, each shard quiescing once all
+  /// channels' markers arrived), flushes every partition, and waits for
+  /// each worker to quiesce at the marker and write its shard file. With
+  /// several partitions the caller must be externally synchronized with
+  /// all producer threads, exactly as for RequestPlanSwap (the stall is
+  /// the slowest shard's serialization time — see
+  /// RuntimeStats.checkpoints).
   ///
-  /// Refused with a typed code when: the runtime failed/finished
-  /// (kNotRunning), no disorder policy (kNoDisorderPolicy — the
-  /// consistent cut is defined by watermark frontiers), or a plan swap is
-  /// in flight (kSwapInFlight — regression-tested together with the
-  /// reverse order in tests/checkpoint_test.cc). Every refusal emits a
-  /// kCheckpointRejected trace event and bumps
+  /// Refused with a typed code, checked in this order, when: the runtime
+  /// failed/finished (kNotRunning), has no disorder policy
+  /// (kNoDisorderPolicy — the consistent cut is defined by watermark
+  /// frontiers), a control op is in flight (kCheckpointInFlight,
+  /// kSwapInFlight — regression-tested in both orders in
+  /// tests/checkpoint_test.cc), or `dir` cannot be created (kIoError).
+  /// Every refusal emits a kCheckpointRejected trace event and bumps
   /// sharon_checkpoints_rejected_total.
   CheckpointResult Checkpoint(const std::string& dir);
 
@@ -403,10 +403,21 @@ class ShardedRuntime {
   /// Max data-event time routed across ALL partitions — the high-mark
   /// control-op boundaries are computed from.
   Timestamp IngestHighMark() const;
-  /// Appends `marker` to every (partition, shard) pending batch, pushing
-  /// batches that filled up — one marker per channel, the alignment set
-  /// Shard::OnControlMarker waits for. Producer threads must be quiescent.
-  void BroadcastControlMarker(const Event& marker);
+
+  // --- the control path both RequestPlanSwap and RequestCheckpoint run --
+  /// Refuses a `kind` request: bumps the kind's rejection counter and
+  /// emits its rejection trace event (a = the code's number).
+  ControlRequest Refuse(ControlKind kind, OpRefusal code, std::string reason);
+  /// The control op holding the first busy shard slot (kNone if none).
+  ControlKind InFlightKind() const;
+  /// Refuses a `kind` request while a control op is in flight; otherwise
+  /// seals a checkpoint whose shards all finished and returns nullopt.
+  std::optional<ControlRequest> RefuseIfInFlight(ControlKind kind);
+  /// Numbers `cmd`, sets its boundary past the ingest high-mark, stages
+  /// it on every shard (unwinding on a shard refusal) and broadcasts one
+  /// control marker per channel — the alignment set Shard::OnControlMarker
+  /// waits for. Producer threads must be quiescent.
+  ControlRequest StageControl(ControlCommand& cmd);
 
   std::string error_;
   RuntimeOptions options_;

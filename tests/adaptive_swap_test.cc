@@ -301,13 +301,14 @@ TEST(AdaptiveSwap, ShardRefusalUnwindsStagedCommands) {
   }
   // Plant a checkpoint command directly on the last shard (no marker, no
   // runtime-level job): shards 0 and 1 will accept the swap command, the
-  // last will refuse it with checkpoint_in_flight.
+  // last will refuse it because its control slot is taken.
   const size_t last = opts.num_shards - 1;
-  runtime::CheckpointCommand planted;
+  runtime::ControlCommand planted;
+  planted.kind = runtime::ControlKind::kCheckpoint;
   planted.id = 1;
   planted.num_shards = opts.num_shards;
-  planted.path = ::testing::TempDir() + "sharon_unwind_planted.bin";
-  ASSERT_TRUE(rt.shard_for_test(last).PushCheckpointCommand(planted));
+  planted.dir = ::testing::TempDir();
+  ASSERT_TRUE(rt.shard_for_test(last).Stage(planted));
 
   const ShardedRuntime::SwapRequest refused = rt.RequestPlanSwap(handle);
   EXPECT_FALSE(refused.accepted);
@@ -320,7 +321,7 @@ TEST(AdaptiveSwap, ShardRefusalUnwindsStagedCommands) {
 
   // Un-plant the checkpoint; the very next swap must go through and the
   // stream must stay exact end to end.
-  rt.shard_for_test(last).CancelCheckpointCommand();
+  rt.shard_for_test(last).Unstage();
   const ShardedRuntime::SwapRequest accepted = rt.RequestPlanSwap(handle);
   ASSERT_TRUE(accepted.accepted) << accepted.reason;
   for (size_t i = 1000; i < c.events.size(); ++i) rt.Ingest(c.events[i]);
