@@ -26,8 +26,12 @@ struct RuntimeOptions {
   /// Worker shards. 0 means one per available hardware thread.
   size_t num_shards = 0;
 
-  /// Events per ingest batch. Larger batches amortize queue traffic;
-  /// smaller batches reduce ingest-to-result latency.
+  /// Maximum events per ingest batch. Larger batches amortize queue
+  /// traffic. A watermark punctuation or control marker always ends its
+  /// batch (it is pushed with the call), so under a disorder policy
+  /// result latency is the punctuation cadence plus the shards' release
+  /// work, whatever the batch size; only data events ingested since the
+  /// last punctuation wait for a batch to fill (or for Flush/Finish).
   size_t batch_size = 256;
 
   /// Ring-buffer slots (batches) per (producer, shard) channel. Bounds

@@ -134,8 +134,9 @@ void Shard::HandleEvent(const Event& e, size_t p) {
   if (markers_seen_ > 0 && marker_seen_[p]) {
     // This channel already delivered its marker for the pending control
     // op: everything behind it is part of the POST-cut stream and must
-    // wait until the remaining channels align (a marker can sit mid-batch
-    // when the producer kept appending before the flush).
+    // wait until the remaining channels align. The producer ends a batch
+    // at its marker, but this channel's next batches can arrive while
+    // another channel's marker is still queued behind older data.
     held_[p].push_back(e);
     return;
   }
@@ -180,6 +181,10 @@ void Shard::OnControlMarker(const Event& e, size_t p) {
   // events (and any held next-op marker) see a fresh round.
   std::fill(marker_seen_.begin(), marker_seen_.end(), 0);
   markers_seen_ = 0;
+  while (hold_at_marker_.load(std::memory_order_acquire) &&
+         !done_.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
   ControlCommand cmd;
   {
     std::lock_guard<std::mutex> lock(control_mu_);

@@ -137,6 +137,16 @@ class Shard {
   /// True from staging a swap until the worker retires the old engine.
   bool swap_in_flight() const { return in_flight() == ControlKind::kSwap; }
 
+  /// Test-only: while held, the worker stops at its next aligned control
+  /// marker before running the staged command, so a control op stays in
+  /// flight for as long as a test needs it to (the marker itself leaves
+  /// the producer with the request). SignalDone releases the hold, so
+  /// Finish never waits on it. Release it before ingesting more than the
+  /// channel holds: a held worker pops nothing.
+  void HoldAtControlMarkerForTest(bool hold) {
+    hold_at_marker_.store(hold, std::memory_order_release);
+  }
+
   /// Outcome of the most recent completed checkpoint on this shard.
   /// Meaningful once in_flight() dropped back from kCheckpoint.
   struct CheckpointOutcome {
@@ -289,6 +299,7 @@ class Shard {
   mutable std::mutex control_mu_;
   ControlCommand staged_;  ///< kind kNone while the slot is empty
   std::atomic<ControlKind> in_flight_{ControlKind::kNone};
+  std::atomic<bool> hold_at_marker_{false};  ///< HoldAtControlMarkerForTest
   CheckpointOutcome checkpoint_outcome_;
   bool swap_active_ = false;       ///< worker picked the command up
   ControlCommand swap_;            ///< the active swap

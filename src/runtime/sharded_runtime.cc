@@ -97,18 +97,24 @@ void IngestPartition::IngestWatermark(Timestamp t) {
   // punctuation here so a pre-stamped feed cannot fake a frontier.
   if (!rt.options_.disorder.enabled) return;
   if (!rt.started_.load(std::memory_order_acquire)) rt.Start();
-  // Appending to every pending batch keeps the punctuation ordered after
-  // all events THIS producer ingested before it — on every shard,
-  // through the same channels the events travel. Shards fold it into
-  // their per-producer frontier and advance to the minimum.
-  const Event punctuation = WatermarkEvent(t);
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    EventBatch& batch = PendingFor(i);
-    batch.push_back(punctuation);
-    if (batch.size() >= rt.options_.batch_size) PushBatch(i);
-  }
+  // Shards fold the punctuation into their per-producer frontier and
+  // advance to the minimum.
+  Broadcast(WatermarkEvent(t));
   ++stats_.watermarks;
   if (obs_cells_ && obs_cells_->watermarks) obs_cells_->watermarks->Inc();
+}
+
+void IngestPartition::Broadcast(const Event& cut) {
+  // Appending to every pending batch orders the cut after all events THIS
+  // producer ingested before it — on every shard, through the same
+  // channels the events travel. Pushing at once ends the batch there: a
+  // cut only declares a prefix of the stream complete, so holding it back
+  // until the batch fills would delay every window it seals and gain
+  // nothing.
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    PendingFor(i).push_back(cut);
+    PushBatch(i);
+  }
 }
 
 void IngestPartition::Flush() {
@@ -407,19 +413,13 @@ ShardedRuntime::ControlRequest ShardedRuntime::StageControl(
     }
   }
   // In-band markers, ordered after everything ingested so far — same
-  // broadcast discipline as watermarks, through EVERY partition's
-  // channels. Each shard runs the command only once the marker of every
-  // channel arrived (Shard::OnControlMarker), so the cut is ordered after
-  // everything every producer routed. The caller must have externally
-  // synchronized with all producer threads (see the header contract).
+  // broadcast as watermarks, through EVERY partition's channels. Each
+  // shard runs the command only once the marker of every channel arrived
+  // (Shard::OnControlMarker), so the cut is ordered after everything
+  // every producer routed. The caller must have externally synchronized
+  // with all producer threads (see the header contract).
   const Event marker = ControlMarkerEvent();
-  for (auto& partition : partitions_) {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      EventBatch& batch = partition->PendingFor(i);
-      batch.push_back(marker);
-      if (batch.size() >= options_.batch_size) partition->PushBatch(i);
-    }
-  }
+  for (auto& partition : partitions_) partition->Broadcast(marker);
   if (telemetry_) {
     obs::ControlCells& cc = telemetry_->control_cells();
     obs::TraceRing* ring = telemetry_->control_ring();
@@ -563,10 +563,7 @@ ShardedRuntime::CheckpointResult ShardedRuntime::Checkpoint(
     res.reason = req.reason;
     return res;
   }
-  // The markers must reach the workers even if no further event does —
-  // from EVERY partition, or a shard would wait forever for the missing
-  // channel's marker.
-  Flush();
+  // The request already pushed every partition's marker to the workers.
   while (CheckpointInFlight()) std::this_thread::yield();
   return FinalizeCheckpoint();
 }

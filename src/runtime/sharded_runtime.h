@@ -71,7 +71,9 @@ class IngestPartition {
   void Ingest(const Event& e);
 
   /// Broadcasts this producer's watermark to every shard, ordered after
-  /// everything this partition ingested so far. Shards advance to the
+  /// everything this partition ingested so far, and pushes it at once:
+  /// the punctuation ends each shard's pending batch, so the windows it
+  /// seals do not wait for that batch to fill. Shards advance to the
   /// minimum across producer frontiers.
   void IngestWatermark(Timestamp t);
 
@@ -92,6 +94,10 @@ class IngestPartition {
   /// Pending batch for `shard_idx`, backed by a recycled buffer.
   EventBatch& PendingFor(size_t shard_idx);
   void PushBatch(size_t shard_idx);
+  /// Appends `cut` (a watermark punctuation or a control marker) to every
+  /// shard's pending batch and pushes each batch at once, so a cut always
+  /// ends its batch. Data events alone fill batches up to batch_size.
+  void Broadcast(const Event& cut);
 
   ShardedRuntime* runtime_;
   size_t index_;
@@ -169,9 +175,13 @@ class ShardedRuntime {
   void Ingest(const Event& e);
 
   /// Single-producer convenience: partition 0's watermark broadcast,
-  /// ordered after everything partition 0 ingested so far. Each shard
+  /// ordered after everything partition 0 ingested so far and pushed to
+  /// every shard with the call — no Flush needed, and no wait for a batch
+  /// to fill: under a disorder policy a result is as fresh as the
+  /// punctuation cadence plus the shards' release work. Each shard
   /// advances to the minimum across producer frontiers; the merged
   /// finalization frontier is the minimum across shards (ResultMerger).
+  /// Ignored without a disorder policy.
   void IngestWatermark(Timestamp t);
 
   /// Outcome of a control request (RequestPlanSwap, RequestCheckpoint).
@@ -233,15 +243,13 @@ class ShardedRuntime {
 
   /// Snapshots the COMPLETE executor state of every shard into `dir`
   /// (created if missing) and blocks until the manifest is written:
-  /// stages a command in every shard's control slot, broadcasts the
-  /// in-band control marker ordered after everything ingested so far
-  /// (through every partition's channels, each shard quiescing once all
-  /// channels' markers arrived), flushes every partition, and waits for
-  /// each worker to quiesce at the marker and write its shard file. With
-  /// several partitions the caller must be externally synchronized with
-  /// all producer threads, exactly as for RequestPlanSwap (the stall is
-  /// the slowest shard's serialization time — see
-  /// RuntimeStats.checkpoints).
+  /// RequestCheckpoint (whose marker leaves with the request), then a
+  /// wait for each worker to quiesce at the marker and write its shard
+  /// file, then the manifest. With several partitions the caller must be
+  /// externally synchronized with all producer threads, exactly as for
+  /// RequestPlanSwap. The stall is the time the workers take to drain
+  /// what was queued before the marker plus the slowest shard's
+  /// serialization.
   ///
   /// Refused with a typed code, checked in this order, when: the runtime
   /// failed/finished (kNotRunning), has no disorder policy
@@ -253,12 +261,16 @@ class ShardedRuntime {
   /// sharon_checkpoints_rejected_total.
   CheckpointResult Checkpoint(const std::string& dir);
 
-  /// Asynchronous half of Checkpoint: stages commands and broadcasts the
-  /// marker WITHOUT flushing or waiting — the workers write their files
-  /// when the marker reaches them through the queues, and the manifest is
-  /// written at the next Checkpoint/RequestPlanSwap/Finish call that
-  /// finds all shards done (query last_checkpoint() afterwards). While
-  /// the checkpoint is in flight, RequestPlanSwap refuses with
+  /// Asynchronous half of Checkpoint: stages a command in every shard's
+  /// control slot and broadcasts the in-band control marker ordered after
+  /// everything ingested so far, through every partition's channels. The
+  /// marker ends each pending batch and is pushed with the request, so the
+  /// checkpoint completes without a Flush or further ingest: each worker
+  /// writes its file once all its channels' markers arrived, and the
+  /// manifest is written at the next Checkpoint/RequestPlanSwap/
+  /// RequestCheckpoint/Finish call that finds all shards done (query
+  /// last_checkpoint() afterwards). Does not wait. While the checkpoint
+  /// is in flight (CheckpointInFlight()), RequestPlanSwap refuses with
   /// kCheckpointInFlight.
   CheckpointRequest RequestCheckpoint(const std::string& dir);
 
@@ -306,8 +318,11 @@ class ShardedRuntime {
   }
 
   /// Pushes all non-empty pending batches of every partition regardless
-  /// of occupancy. With several partitions, only call once their
-  /// producer threads have stopped (Finish does this for you).
+  /// of occupancy. Punctuations and control markers push their batches
+  /// themselves, so this only matters for data events ingested since the
+  /// last of them (or for a runtime without a disorder policy). With
+  /// several partitions, only call once their producer threads have
+  /// stopped (Finish does this for you).
   void Flush();
 
   /// Flushes every partition (broadcasting each producer's closing

@@ -13,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
+#include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -64,6 +68,18 @@ void ExpectBitIdentical(const CellMap& expected, const CellMap& actual,
         << label << ": cell differs at query=" << std::get<0>(key)
         << " window=" << std::get<1>(key) << " group=" << std::get<2>(key);
   }
+}
+
+/// Polls `done` every millisecond until it holds or `seconds` elapse.
+template <typename Pred>
+bool WaitUntil(Pred done, double seconds) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 struct AdaptiveCase {
@@ -142,32 +158,66 @@ void RunAdaptiveDifferentialOne(const AdaptiveCase& c,
   ShardedRuntime rt(c.workload, c.initial_plan, opts);
   ASSERT_TRUE(rt.ok()) << rt.error();
 
+  const std::string label = "adaptive shards=" + std::to_string(shards) +
+                            " producers=" + std::to_string(producers) +
+                            " lateness=" + std::to_string(lateness);
+  const WindowSpec& w = c.workload.window();
+
   // Multi-producer split ingest: data events round-robin across the
   // partitions, punctuations broadcast to every partition (the swap
   // markers then align per channel inside each shard). The cells must
   // come out bit-identical to the producers=1 pass of the same case.
+  //
+  // The swap schedule follows the stream, not the workers' pace. An
+  // accepted swap's boundary is the close of the last window covering the
+  // ingest high-mark (RequestPlanSwap), its old engines retire at the
+  // first punctuation at or past boundary + lateness
+  // (Shard::SwapWatermarkCap), and a punctuation reaches the workers with
+  // its IngestWatermark call. So once every producer sent that
+  // punctuation, wait for the control slots to clear: the manager's next
+  // evaluation then never finds a swap in flight only because a worker
+  // lagged.
   PlanManager mgr(c.workload, &rt, c.initial_plan, popts);
   rt.Start();
   size_t rr = 0;
+  Timestamp high_mark = 0;
+  uint64_t swaps_seen = 0;
+  std::optional<Timestamp> retire_at;
   for (const Event& e : arrivals) {
-    if (IsWatermark(e)) {
-      for (size_t p = 0; p < producers; ++p) mgr.Ingest(e, p);
-    } else {
+    if (!IsWatermark(e)) {
+      high_mark = std::max(high_mark, e.time);
       mgr.Ingest(e, rr++ % producers);
+      if (mgr.stats().swaps_accepted > swaps_seen) {
+        swaps_seen = mgr.stats().swaps_accepted;
+        retire_at = w.WindowEnd(w.LastWindowCovering(high_mark)) + lateness;
+      }
+      continue;
+    }
+    for (size_t p = 0; p < producers; ++p) mgr.Ingest(e, p);
+    if (retire_at && e.time >= *retire_at) {
+      ASSERT_TRUE(WaitUntil(
+          [&] {
+            for (size_t i = 0; i < shards; ++i) {
+              if (rt.shard_for_test(i).in_flight() !=
+                  runtime::ControlKind::kNone) {
+                return false;
+              }
+            }
+            return true;
+          },
+          30))
+          << label << ": swap " << swaps_seen << " never retired";
+      retire_at.reset();
     }
   }
   rt.Finish();
 
-  const std::string label = "adaptive shards=" + std::to_string(shards) +
-                            " producers=" + std::to_string(producers) +
-                            " lateness=" + std::to_string(lateness);
   EXPECT_GE(mgr.stats().swaps_accepted, min_swaps) << label;
 
   // RuntimeStats reports every swap with a per-swap stall figure, and
   // every boundary sits on the workload's window-close grid.
   const runtime::RuntimeStats stats = rt.stats();
   EXPECT_EQ(stats.CompletedSwaps(), mgr.stats().swaps_accepted) << label;
-  const WindowSpec& w = c.workload.window();
   for (const runtime::PlanSwapStats& swap : stats.plan_swaps) {
     EXPECT_EQ(swap.shards_completed, shards) << label;
     EXPECT_GE(swap.max_dual_run_seconds, 0.0) << label;

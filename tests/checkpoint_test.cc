@@ -217,8 +217,8 @@ TEST(CheckpointSwapExclusion, CheckpointRefusedWhileSwapInFlight) {
   std::filesystem::remove_all(dir);
 }
 
-// Order 2: a swap requested while a checkpoint marker is still in the
-// queues is refused with kCheckpointInFlight; the checkpoint then
+// Order 2: a swap requested while a checkpoint has not run on every shard
+// is refused with kCheckpointInFlight; the checkpoint then
 // completes (manifest sealed at Finish) and restores cleanly.
 TEST(CheckpointSwapExclusion, SwapRefusedWhileCheckpointInFlight) {
   CheckpointFixture f = MakeFixture();
@@ -232,8 +232,9 @@ TEST(CheckpointSwapExclusion, SwapRefusedWhileCheckpointInFlight) {
   const size_t split = 1000;
   for (size_t i = 0; i < split; ++i) rt.Ingest(f.arrivals[i]);
   const std::string dir = FreshDir("swap_refused_during_ckpt");
-  // Async request: the marker is NOT flushed, so the checkpoint stays in
-  // flight deterministically until further ingest pushes it through.
+  // Async request: its markers leave with it, so shard 0 is held at its
+  // marker to keep the checkpoint in flight while the swap is requested.
+  rt.shard_for_test(0).HoldAtControlMarkerForTest(true);
   const ShardedRuntime::CheckpointRequest req = rt.RequestCheckpoint(dir);
   ASSERT_TRUE(req.accepted) << req.reason;
   ASSERT_TRUE(rt.CheckpointInFlight());
@@ -242,6 +243,7 @@ TEST(CheckpointSwapExclusion, SwapRefusedWhileCheckpointInFlight) {
   EXPECT_FALSE(swap.accepted);
   EXPECT_EQ(swap.code, OpRefusal::kCheckpointInFlight);
   EXPECT_NE(swap.reason.find("checkpoint"), std::string::npos) << swap.reason;
+  rt.shard_for_test(0).HoldAtControlMarkerForTest(false);
 
   for (size_t i = split; i < f.arrivals.size(); ++i) rt.Ingest(f.arrivals[i]);
   rt.Finish();

@@ -46,7 +46,7 @@ enum class State {
   kMultiNoDisorder,     ///< MultiEngine shards and no disorder policy
   kNoDisorder,          ///< uniform runtime without a disorder policy
   kSwapInFlight,        ///< an accepted swap has not retired yet
-  kCheckpointInFlight,  ///< an accepted checkpoint's markers are unflushed
+  kCheckpointInFlight,  ///< an accepted checkpoint, held at shard 0's marker
 };
 
 enum class Request { kSwap, kRequestCheckpoint, kCheckpoint };
@@ -177,10 +177,6 @@ const Fixture& GetFixture() {
 RuntimeOptions OptionsFor(bool disorder) {
   RuntimeOptions opts;
   opts.num_shards = 2;
-  // Large batches: with no data ingested, a staged control op's markers
-  // stay in the producer's pending batches until an explicit flush, so
-  // "in flight" states hold deterministically.
-  opts.batch_size = 256;
   opts.disorder.enabled = disorder;
   opts.disorder.max_lateness = Seconds(2);
   opts.obs.metrics = true;
@@ -220,11 +216,16 @@ std::unique_ptr<ShardedRuntime> MakeRuntime(State state,
     rt->Start();
     rt->Finish();
   } else if (state == State::kSwapInFlight) {
+    // No watermark past the boundary is ever ingested, so the old engines
+    // never retire and the swap stays in flight until Finish.
     const ShardedRuntime::SwapRequest swap = rt->RequestPlanSwap(f.plan);
     EXPECT_TRUE(swap.accepted) << swap.reason;
   } else if (state == State::kCheckpointInFlight) {
     const std::string dir = TempPath(tag + "_pending");
     std::filesystem::remove_all(dir);
+    // The request pushes its markers at once; holding shard 0 at its
+    // marker keeps the checkpoint in flight until Finish releases it.
+    rt->shard_for_test(0).HoldAtControlMarkerForTest(true);
     const ShardedRuntime::CheckpointRequest cp = rt->RequestCheckpoint(dir);
     EXPECT_TRUE(cp.accepted) << cp.reason;
     EXPECT_TRUE(rt->CheckpointInFlight());

@@ -14,9 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -37,6 +41,7 @@ using adaptive::PlanManagerOptions;
 using query::ChurnRefusal;
 using query::ChurnResult;
 using query::QueryRegistry;
+using runtime::ControlKind;
 using runtime::OpRefusal;
 using runtime::RuntimeOptions;
 using runtime::ShardedRuntime;
@@ -242,6 +247,18 @@ RuntimeOptions FixtureOptions(size_t shards) {
   return opts;
 }
 
+/// Polls `done` every millisecond until it holds or `seconds` elapse.
+template <typename Pred>
+bool WaitUntil(Pred done, double seconds) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 /// A churn query guaranteed valid for the fixture workload: a sub-pattern
 /// of an existing query reversed (same type universe, same window).
 Query FixtureChurnQuery(const Workload& w) {
@@ -309,8 +326,9 @@ TEST(ChurnLifecycle, DeferredDuringInFlightCheckpoint) {
   const std::string dir =
       ::testing::TempDir() + "sharon_churn_ckpt_inflight";
   std::filesystem::remove_all(dir);
-  // Async request: the marker is NOT flushed, so the checkpoint stays in
-  // flight deterministically until further ingest pushes it through.
+  // Async request: its markers leave with it, so shard 0 is held at its
+  // marker to keep the checkpoint in flight while the churn op is queued.
+  rt.shard_for_test(0).HoldAtControlMarkerForTest(true);
   const ShardedRuntime::CheckpointRequest req = rt.RequestCheckpoint(dir);
   ASSERT_TRUE(req.accepted) << req.reason;
   ASSERT_TRUE(rt.CheckpointInFlight());
@@ -320,6 +338,7 @@ TEST(ChurnLifecycle, DeferredDuringInFlightCheckpoint) {
   EXPECT_EQ(mgr.pending_churn(), 1u);
   EXPECT_FALSE(mgr.last_churn_swap().accepted);
   EXPECT_EQ(mgr.last_churn_swap().code, OpRefusal::kCheckpointInFlight);
+  rt.shard_for_test(0).HoldAtControlMarkerForTest(false);
 
   for (size_t i = 1000; i < f.arrivals.size(); ++i) mgr.Ingest(f.arrivals[i]);
   rt.Finish();
@@ -342,7 +361,10 @@ TEST(ChurnLifecycle, RetiredIdReadableAfterCheckpointRestore) {
   QueryRegistry reg(&f.workload);
   SharingPlan incumbent;
   Timestamp retire_boundary = 0;
-  const std::string dir = ::testing::TempDir() + "sharon_churn_restore";
+  // Per process: concurrent copies of the test binary must not delete
+  // each other's checkpoint files.
+  const std::string dir = ::testing::TempDir() + "sharon_churn_restore_" +
+                          std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   size_t resume_at = 0;
 
@@ -362,20 +384,30 @@ TEST(ChurnLifecycle, RetiredIdReadableAfterCheckpointRestore) {
     retire_boundary = reg.intervals(victim)[0].until;
     ASSERT_LT(retire_boundary, kWatermarkMax);
 
-    // Checkpoint after the churn swap has retired on every shard (the
-    // runtime refuses a cut mid-swap; feed watermarks until it accepts).
-    size_t i = f.arrivals.size() * 7 / 10;
-    for (size_t j = churn_at; j < i; ++j) mgr.Ingest(f.arrivals[j]);
-    ShardedRuntime::CheckpointResult cp;
-    for (;;) {
-      cp = rt.Checkpoint(dir);
-      if (cp.ok) break;
-      ASSERT_EQ(cp.code, OpRefusal::kSwapInFlight) << cp.reason;
-      ASSERT_LT(i, f.arrivals.size()) << "swap never retired";
-      for (size_t n = 0; n < 200 && i < f.arrivals.size(); ++n) {
-        mgr.Ingest(f.arrivals[i++]);
-      }
+    // Checkpoint once the churn swap has retired on every shard (the
+    // runtime refuses a cut mid-swap). The old engines retire at the first
+    // punctuation at or past retire_boundary + max_lateness
+    // (Shard::SwapWatermarkCap), and a punctuation reaches the workers
+    // with its IngestWatermark call: ingest through that punctuation, then
+    // wait for the workers instead of counting on their pace.
+    const Timestamp retire_at =
+        retire_boundary + FixtureOptions(2).disorder.max_lateness;
+    size_t i = churn_at;
+    for (bool retire_sent = false; !retire_sent;) {
+      ASSERT_LT(i, f.arrivals.size()) << "no punctuation past " << retire_at;
+      const Event& e = f.arrivals[i++];
+      mgr.Ingest(e);
+      retire_sent = IsWatermark(e) && e.time >= retire_at;
     }
+    ASSERT_TRUE(WaitUntil(
+        [&] {
+          return rt.shard_for_test(0).in_flight() == ControlKind::kNone &&
+                 rt.shard_for_test(1).in_flight() == ControlKind::kNone;
+        },
+        30))
+        << "swap never retired";
+    const ShardedRuntime::CheckpointResult cp = rt.Checkpoint(dir);
+    ASSERT_TRUE(cp.ok) << cp.reason;
     incumbent = mgr.current_plan();
     resume_at = i;
     // First incarnation destroyed here; the archive is on disk.

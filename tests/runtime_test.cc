@@ -8,14 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
+#include <filesystem>
 #include <map>
+#include <string>
+#include <thread>
 
 #include "src/planner/optimizer.h"
 #include "src/query/parser.h"
+#include "src/streamgen/disorder.h"
 #include "src/streamgen/ecommerce.h"
 #include "src/streamgen/rates.h"
 #include "src/streamgen/taxi.h"
 #include "src/streamgen/workload_gen.h"
+#include "src/twostep/reference.h"
 
 namespace sharon {
 namespace {
@@ -370,6 +378,121 @@ TEST(ShardedRuntimeTest, SurfacesCompileErrors) {
   ShardedRuntime rt(w, SharingPlan{bad});
   EXPECT_FALSE(rt.ok());
   EXPECT_FALSE(rt.error().empty());
+}
+
+// --- punctuations and control markers end their batch ---------------------
+//
+// Batches here are far larger than anything ingested, so only the cut
+// itself can push a batch: a punctuation or marker left in the producer's
+// pending batch until it fills never reaches the workers, and the polls
+// below time out.
+
+/// Polls `done` every millisecond until it holds or `seconds` elapse.
+template <typename Pred>
+bool WaitUntil(Pred done, double seconds) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+struct CutCase {
+  Scenario stream;
+  Workload workload;
+};
+
+CutCase MakeCutCase() {
+  TaxiConfig cfg;
+  cfg.num_vehicles = 8;
+  cfg.events_per_second = 200;
+  cfg.duration = Seconds(20);
+  CutCase c;
+  c.stream = GenerateTaxi(cfg);
+  WorkloadGenConfig wcfg;
+  wcfg.num_queries = 3;
+  wcfg.pattern_length = 3;
+  wcfg.window = {Seconds(4), Seconds(2)};
+  wcfg.partition_attr = 0;
+  c.workload = GenerateWorkload(wcfg, cfg.num_streets);
+  return c;
+}
+
+RuntimeOptions CutOpts() {
+  RuntimeOptions o = Opts(2, /*batch=*/1024, /*queue=*/4);
+  o.disorder.enabled = true;
+  o.disorder.max_lateness = Seconds(1);
+  return o;
+}
+
+TEST(PunctuationCut, WatermarkReachesEveryShardWithoutFlush) {
+  const CutCase c = MakeCutCase();
+  ShardedRuntime rt(c.workload, SharingPlan{}, CutOpts());
+  ASSERT_TRUE(rt.ok()) << rt.error();
+  rt.Start();
+  for (size_t i = 0; i < 50; ++i) rt.Ingest(c.stream.events[i]);
+  const Timestamp t = c.stream.events[49].time;
+  rt.IngestWatermark(t);
+  // No Flush, no further Ingest, no Finish: the call alone delivers it.
+  EXPECT_TRUE(WaitUntil(
+      [&] {
+        return rt.shard_for_test(0).watermark() == t &&
+               rt.shard_for_test(1).watermark() == t;
+      },
+      10))
+      << "the punctuation is still in the producer's pending batch";
+  rt.Finish();
+}
+
+TEST(PunctuationCut, AsyncCheckpointCompletesWithoutFlush) {
+  const CutCase c = MakeCutCase();
+  ShardedRuntime rt(c.workload, SharingPlan{}, CutOpts());
+  ASSERT_TRUE(rt.ok()) << rt.error();
+  const std::string dir = ::testing::TempDir() + "sharon_cut_checkpoint_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  rt.Start();
+  for (size_t i = 0; i < 50; ++i) rt.Ingest(c.stream.events[i]);
+  const ShardedRuntime::CheckpointRequest req = rt.RequestCheckpoint(dir);
+  ASSERT_TRUE(req.accepted) << req.reason;
+  EXPECT_TRUE(WaitUntil([&] { return !rt.CheckpointInFlight(); }, 10))
+      << "the checkpoint marker is still in the producer's pending batch";
+  rt.Finish();
+  EXPECT_TRUE(rt.last_checkpoint().ok) << rt.last_checkpoint().reason;
+  EXPECT_EQ(rt.last_checkpoint().id, req.id);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PunctuationCut, EveryPunctuationEndsItsBatchAndBuffersRecycle) {
+  const CutCase c = MakeCutCase();
+  DisorderConfig inj;
+  inj.max_lateness = Seconds(1);
+  inj.punctuation_period = Seconds(1);
+  const std::vector<Event> arrivals = InjectDisorder(c.stream.events, inj);
+  const RuntimeOptions opts = CutOpts();
+  ShardedRuntime rt(c.workload, SharingPlan{}, opts);
+  ASSERT_TRUE(rt.ok()) << rt.error();
+  rt.Start();
+  for (const Event& e : arrivals) rt.Ingest(e);
+  rt.Finish();
+
+  const RuntimeStats stats = rt.stats();
+  const runtime::IngestStats& ingest = stats.ingest[0];
+  ASSERT_GE(ingest.watermarks, 10u);  // the stream's 1 s stamps + closing
+  // Each punctuation ended one batch per shard, however few events that
+  // batch held.
+  EXPECT_GE(ingest.batches, ingest.watermarks * opts.num_shards);
+  // Those partial batches ride the free ring like full ones: each channel
+  // never has more than its ring plus one pending and one in-hand buffer.
+  EXPECT_LE(ingest.batch_allocs, opts.num_shards * (opts.queue_capacity + 2));
+  for (const runtime::ShardStats& shard : stats.shards) {
+    EXPECT_EQ(shard.recycle_drops, 0u);
+  }
+  // Where a batch ends changes no result: still the oracle's cells.
+  ExpectBitIdentical(CellsOf(ReferenceResults(c.workload, c.stream.events)),
+                     CellsOf(rt), "cut batches");
 }
 
 }  // namespace
