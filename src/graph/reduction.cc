@@ -1,6 +1,7 @@
 #include "src/graph/reduction.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace sharon {
 namespace {
@@ -18,13 +19,20 @@ double ComponentBound(const SharonGraph& g,
   return total;
 }
 
-// Scoremax (Def. 12) restricted to one component.
+// Scoremax (Def. 12) restricted to one component of alive vertices,
+// v among them. v's neighbours are flagged in `mark` (all clear on entry
+// and on return). The component is summed in its own order, so the sum,
+// and with it the pruning decision, does not depend on how neighbours
+// are found.
 double ComponentScoreMax(const SharonGraph& g, VertexId v,
-                         const std::vector<VertexId>& component) {
+                         const std::vector<VertexId>& component,
+                         std::vector<uint8_t>& mark) {
+  for (VertexId u : g.adjacency(v)) mark[u] = 1;
   double total = 0;
   for (VertexId u : component) {
-    if (g.alive(u) && !g.HasEdge(v, u)) total += g.weight(u);
+    if (g.alive(u) && !mark[u]) total += g.weight(u);
   }
+  for (VertexId u : g.adjacency(v)) mark[u] = 0;
   return total;
 }
 
@@ -37,6 +45,7 @@ ReductionResult ReduceGraph(SharonGraph& graph) {
   // component makes it strictly stronger than the paper's global bound —
   // weak candidates no longer hide behind unrelated components' weights —
   // while remaining sound for exactly the same Lemma 2 reason.
+  std::vector<uint8_t> mark(graph.capacity(), 0);
   bool changed = true;
   while (changed) {
     changed = false;
@@ -46,7 +55,7 @@ ReductionResult ReduceGraph(SharonGraph& graph) {
       // remove, so the comparison is uniform within the pass.
       std::vector<VertexId> ridden;
       for (VertexId v : component) {
-        if (ComponentScoreMax(graph, v, component) < bound) {
+        if (ComponentScoreMax(graph, v, component, mark) < bound) {
           ridden.push_back(v);
         }
       }

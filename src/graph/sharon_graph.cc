@@ -7,8 +7,20 @@ namespace sharon {
 bool SharonGraph::InConflict(const Candidate& a, const Candidate& b,
                              const Workload& workload) {
   if (&a == &b) return false;
-  for (QueryId q : Intersect(a.queries, b.queries)) {
-    if (workload.query(q).pattern.Overlaps(a.pattern, b.pattern)) return true;
+  // Walks the two sorted query lists' intersection in place.
+  auto qa = a.queries.begin(), qb = b.queries.begin();
+  while (qa != a.queries.end() && qb != b.queries.end()) {
+    if (*qa < *qb) {
+      ++qa;
+    } else if (*qb < *qa) {
+      ++qb;
+    } else {
+      if (workload.query(*qa).pattern.Overlaps(a.pattern, b.pattern)) {
+        return true;
+      }
+      ++qa;
+      ++qb;
+    }
   }
   return false;
 }

@@ -48,6 +48,10 @@ class SharonGraph {
   /// Alive neighbors of v.
   std::vector<VertexId> Neighbors(VertexId v) const;
 
+  /// v's sorted neighbor list as stored, removed vertices included (filter
+  /// with alive()). Unlike Neighbors() it does not copy.
+  const std::vector<VertexId>& adjacency(VertexId v) const { return adj_[v]; }
+
   /// Degree of v counting alive neighbors only.
   size_t Degree(VertexId v) const;
 

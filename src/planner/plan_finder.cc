@@ -7,9 +7,172 @@
 namespace sharon {
 namespace {
 
-size_t LevelBytes(const PlanLevel& level, size_t plan_size) {
-  return level.plans.size() *
-         (plan_size * sizeof(VertexId) + sizeof(double) + sizeof(void*));
+/// One lattice level (Fig. 8), stored flat. Plan p is the `width`
+/// ascending component-local vertex indices at
+/// plans[p * width, (p + 1) * width), scored scores[p]. The level is
+/// lexicographically sorted, so the plans sharing their first width-1
+/// indices — the children of one parent — are contiguous: block b spans
+/// plans [blocks[b], blocks[b + 1]), and blocks ends with a sentinel.
+struct Level {
+  size_t width = 0;
+  std::vector<uint32_t> plans;
+  std::vector<double> scores;
+  std::vector<size_t> blocks;
+
+  size_t size() const { return scores.size(); }
+  const uint32_t* plan(size_t p) const { return plans.data() + p * width; }
+  uint32_t last(size_t p) const { return plans[(p + 1) * width - 1]; }
+
+  /// Empties the level, keeping its buffers.
+  void Reset(size_t new_width) {
+    width = new_width;
+    plans.clear();
+    scores.clear();
+    blocks.clear();
+  }
+
+  size_t Bytes() const {
+    return plans.capacity() * sizeof(uint32_t) +
+           scores.capacity() * sizeof(double) +
+           blocks.capacity() * sizeof(size_t);
+  }
+};
+
+/// The conflict edges of one component as a bit matrix over
+/// component-local indices: bit j of row i is set iff the component's
+/// i-th and j-th vertices conflict (Def. 6).
+class ConflictBits {
+ public:
+  void Reset(size_t n) {
+    stride_ = (n + 63) / 64;
+    bits_.assign(n * stride_, 0);
+  }
+  void Set(uint32_t i, uint32_t j) {
+    bits_[i * stride_ + j / 64] |= uint64_t{1} << (j % 64);
+  }
+  const uint64_t* Row(uint32_t i) const { return bits_.data() + i * stride_; }
+  static bool Test(const uint64_t* row, uint32_t j) {
+    return (row[j / 64] >> (j % 64)) & 1u;
+  }
+  void Reserve(size_t n) { bits_.reserve(n * ((n + 63) / 64)); }
+  size_t Bytes() const { return bits_.capacity() * sizeof(uint64_t); }
+
+ private:
+  size_t stride_ = 0;
+  std::vector<uint64_t> bits_;
+};
+
+/// Buffers of one FindOptimalPlan call, sized once and reused across the
+/// levels and components it searches.
+struct Workspace {
+  std::vector<uint32_t> local;  ///< vertex id -> index in its component
+  std::vector<double> weights;  ///< by component-local index
+  ConflictBits conflicts;
+  Level level, next;
+  std::vector<uint32_t> best;   ///< the component's best plan so far
+
+  size_t Bytes() const {
+    return local.capacity() * sizeof(uint32_t) +
+           weights.capacity() * sizeof(double) + conflicts.Bytes() +
+           level.Bytes() + next.Bytes() + best.capacity() * sizeof(uint32_t);
+  }
+};
+
+/// Algorithm 3: generates level s+1 (`children`) from level s (`parents`)
+/// by joining the plans of each block pairwise. Returns false once the
+/// level would exceed `max_plans` (0 = unlimited), so an oversized level
+/// is never materialised.
+bool GetNextLevel(const ConflictBits& conflicts, const double* weights,
+                  const Level& parents, uint64_t max_plans, Level* children) {
+  const size_t width = parents.width;
+  children->Reset(width + 1);
+  for (size_t b = 0; b + 1 < parents.blocks.size(); ++b) {
+    const size_t block_end = parents.blocks[b + 1];
+    for (size_t i = parents.blocks[b]; i < block_end; ++i) {
+      const size_t first_child = children->size();
+      const uint32_t* parent = parents.plan(i);
+      const uint64_t* row = conflicts.Row(parent[width - 1]);
+      for (size_t j = i + 1; j < block_end; ++j) {
+        const uint32_t vj = parents.last(j);
+        // Lemma 6: the child is valid iff the two differing candidates
+        // are not in conflict.
+        if (ConflictBits::Test(row, vj)) continue;
+        if (max_plans > 0 && children->size() >= max_plans) return false;
+        // The block is sorted, so the parent's last index is below vj and
+        // the child is sorted too.
+        children->plans.insert(children->plans.end(), parent, parent + width);
+        children->plans.push_back(vj);
+        children->scores.push_back(parents.scores[i] + weights[vj]);
+      }
+      if (children->size() > first_child) {
+        children->blocks.push_back(first_child);
+      }
+    }
+  }
+  children->blocks.push_back(children->size());
+  return true;
+}
+
+// Algorithm 4 over one connected component (sorted vertex ids). Appends
+// the component's optimal sub-plan to `result->best`.
+bool FindOptimalForComponent(const SharonGraph& graph,
+                             const std::vector<VertexId>& component,
+                             const PlanFinderOptions& opts,
+                             const StopWatch& watch, Workspace* ws,
+                             PlanFinderResult* result) {
+  const size_t n = component.size();
+  for (uint32_t i = 0; i < n; ++i) ws->local[component[i]] = i;
+  ws->conflicts.Reset(n);
+  ws->weights.clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    ws->weights.push_back(graph.weight(component[i]));
+    // Edges never leave a component, so every alive neighbour is local.
+    for (VertexId u : graph.adjacency(component[i])) {
+      if (graph.alive(u)) ws->conflicts.Set(i, ws->local[u]);
+    }
+  }
+
+  // Level 1: single candidates, one block (Alg. 4 lines 1-4).
+  Level* level = &ws->level;
+  Level* next = &ws->next;
+  level->Reset(1);
+  for (uint32_t i = 0; i < n; ++i) {
+    level->plans.push_back(i);
+    level->scores.push_back(ws->weights[i]);
+  }
+  level->blocks = {0, n};
+
+  double best_score = 0;
+  ws->best.clear();
+  while (level->size() > 0) {
+    result->plans_considered += level->size();
+    result->peak_level_plans =
+        std::max(result->peak_level_plans, level->size());
+    size_t best_in_level = level->size();
+    for (size_t p = 0; p < level->size(); ++p) {
+      if (level->scores[p] > best_score) {
+        best_score = level->scores[p];
+        best_in_level = p;
+      }
+    }
+    if (best_in_level < level->size()) {
+      const uint32_t* plan = level->plan(best_in_level);
+      ws->best.assign(plan, plan + level->width);
+    }
+    if (watch.ElapsedSeconds() > opts.time_limit_seconds) {
+      result->limit = PlanFinderLimit::kTime;
+      return false;
+    }
+    if (!GetNextLevel(ws->conflicts, ws->weights.data(), *level,
+                      opts.max_level_plans, next)) {
+      result->limit = PlanFinderLimit::kLevelSize;
+      return false;
+    }
+    std::swap(level, next);
+  }
+  result->best_score += best_score;
+  for (uint32_t i : ws->best) result->best.push_back(component[i]);
+  return true;
 }
 
 }  // namespace
@@ -24,103 +187,6 @@ const char* PlanFinderLimitName(PlanFinderLimit limit) {
   return "unknown";
 }
 
-PlanLevel GetNextLevel(const SharonGraph& graph, const PlanLevel& parents,
-                       uint64_t max_plans, bool* overflow) {
-  PlanLevel children;
-  if (overflow) *overflow = false;
-  const size_t n = parents.plans.size();
-  if (n < 2) return children;
-  const size_t s = parents.plans.front().size();
-
-  // Plans are lexicographically sorted, so plans sharing the same s-1
-  // prefix form contiguous blocks; join within each block (Alg. 3).
-  size_t block_start = 0;
-  while (block_start < n) {
-    size_t block_end = block_start + 1;
-    while (block_end < n &&
-           std::equal(parents.plans[block_start].begin(),
-                      parents.plans[block_start].end() - 1,
-                      parents.plans[block_end].begin(),
-                      parents.plans[block_end].end() - 1)) {
-      ++block_end;
-    }
-    for (size_t i = block_start; i < block_end; ++i) {
-      for (size_t j = i + 1; j < block_end; ++j) {
-        const VertexId vi = parents.plans[i].back();
-        const VertexId vj = parents.plans[j].back();
-        // Lemma 6: the child is valid iff the two differing candidates
-        // are not in conflict.
-        if (graph.HasEdge(vi, vj)) continue;
-        if (max_plans > 0 && children.plans.size() >= max_plans) {
-          if (overflow) *overflow = true;
-          return children;
-        }
-        std::vector<VertexId> child = parents.plans[i];
-        child.push_back(vj);  // vi < vj by sort order, so child is sorted
-        children.plans.push_back(std::move(child));
-        children.scores.push_back(parents.scores[i] + graph.weight(vj));
-      }
-    }
-    block_start = block_end;
-  }
-  (void)s;
-  return children;
-}
-
-namespace {
-
-// Algorithm 4 over one set of vertices (a connected component). Appends
-// the component's optimal sub-plan to `result->best`.
-bool FindOptimalForComponent(const SharonGraph& graph,
-                             const std::vector<VertexId>& vertices,
-                             const PlanFinderOptions& opts,
-                             const StopWatch& watch,
-                             PlanFinderResult* result) {
-  // Level 1: single candidates (Alg. 4 lines 1-4).
-  PlanLevel level;
-  for (VertexId v : vertices) {
-    level.plans.push_back({v});
-    level.scores.push_back(graph.weight(v));
-  }
-  std::sort(level.plans.begin(), level.plans.end());
-  for (size_t i = 0; i < level.plans.size(); ++i) {
-    level.scores[i] = graph.weight(level.plans[i][0]);
-  }
-
-  double best_score = 0;
-  std::vector<VertexId> best;
-  size_t plan_size = 1;
-  while (!level.plans.empty()) {
-    result->plans_considered += level.plans.size();
-    result->peak_level_plans =
-        std::max(result->peak_level_plans, level.plans.size());
-    result->peak_bytes =
-        std::max(result->peak_bytes, LevelBytes(level, plan_size));
-    for (size_t i = 0; i < level.plans.size(); ++i) {
-      if (level.scores[i] > best_score) {
-        best_score = level.scores[i];
-        best = level.plans[i];
-      }
-    }
-    if (watch.ElapsedSeconds() > opts.time_limit_seconds) {
-      result->limit = PlanFinderLimit::kTime;
-      return false;
-    }
-    bool overflow = false;
-    level = GetNextLevel(graph, level, opts.max_level_plans, &overflow);
-    if (overflow) {
-      result->limit = PlanFinderLimit::kLevelSize;
-      return false;
-    }
-    ++plan_size;
-  }
-  result->best_score += best_score;
-  result->best.insert(result->best.end(), best.begin(), best.end());
-  return true;
-}
-
-}  // namespace
-
 PlanFinderResult FindOptimalPlan(const SharonGraph& graph,
                                  const PlanFinderOptions& opts) {
   PlanFinderResult result;
@@ -129,13 +195,25 @@ PlanFinderResult FindOptimalPlan(const SharonGraph& graph,
   // the union of per-component optima. Components are usually small after
   // reduction, which keeps the exponential Alg. 4 traversal tractable far
   // beyond what a whole-graph lattice would allow.
-  for (const auto& component : graph.ConnectedComponents()) {
-    if (!FindOptimalForComponent(graph, component, opts, watch, &result)) {
+  const std::vector<std::vector<VertexId>> components =
+      graph.ConnectedComponents();
+  size_t widest = 0;
+  for (const auto& component : components) {
+    widest = std::max(widest, component.size());
+  }
+  Workspace ws;
+  ws.local.resize(graph.capacity());
+  ws.weights.reserve(widest);
+  ws.conflicts.Reserve(widest);
+  for (const auto& component : components) {
+    if (!FindOptimalForComponent(graph, component, opts, watch, &ws,
+                                 &result)) {
       result.completed = false;
-      return result;
+      break;
     }
   }
-  std::sort(result.best.begin(), result.best.end());
+  result.peak_bytes = ws.Bytes();
+  if (result.completed) std::sort(result.best.begin(), result.best.end());
   return result;
 }
 

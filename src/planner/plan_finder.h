@@ -1,12 +1,22 @@
 // The optimal sharing plan finder (paper §6, Algorithms 3 and 4).
 //
 // Traverses ONLY the valid portion of the 2^|V| plan lattice (Fig. 8)
-// breadth-first. Level s+1 is generated apriori-style from level s
-// (Lemma 6): two valid plans sharing their first s-1 candidates join into
-// a child, which is valid iff their two differing candidates are not in
-// conflict — no other parent needs checking. Invalid branches are thereby
-// cut at their roots (Lemma 4), and only one level is held in memory at a
-// time.
+// breadth-first, one connected component at a time. Level s+1 is
+// generated apriori-style from level s (Lemma 6): two valid plans sharing
+// their first s-1 candidates join into a child, which is valid iff their
+// two differing candidates are not in conflict — no other parent needs
+// checking. Invalid branches are thereby cut at their roots (Lemma 4),
+// and only the level being joined and the one it produces are held in
+// memory.
+//
+// Layout: a level is stored flat — one array of width x n
+// component-local vertex indices, one of scores and one of block starts.
+// The children of one parent form exactly one block of the next level
+// (the plans sharing a prefix), so the joins need no prefix comparison.
+// Each component's conflicts are a bit matrix, so a Lemma 6 test is one
+// bit read. The matrix, the weights and two level buffers are allocated
+// once per FindOptimalPlan call and reused across levels and components,
+// so the search allocates independently of the number of plans it visits.
 
 #ifndef SHARON_PLANNER_PLAN_FINDER_H_
 #define SHARON_PLANNER_PLAN_FINDER_H_
@@ -41,26 +51,19 @@ struct PlanFinderResult {
   double best_score = 0;
   uint64_t plans_considered = 0;
   size_t peak_level_plans = 0;  ///< widest level held in memory
-  size_t peak_bytes = 0;        ///< memory proxy for Fig. 15(b)
+  /// Fig. 15(b) memory proxy: bytes held by the finder's flat buffers
+  /// (two lattice levels, the conflict bit matrix and the weights).
+  size_t peak_bytes = 0;
   bool completed = true;        ///< false: hit the time/size limit
   /// The limit that triggered completed=false (kNone when completed), so
   /// callers can report WHY a search fell back instead of a bare flag.
   PlanFinderLimit limit = PlanFinderLimit::kNone;
 };
 
-/// One lattice level: plans as sorted vertex-id vectors plus their scores.
-struct PlanLevel {
-  std::vector<std::vector<VertexId>> plans;  ///< lexicographically sorted
-  std::vector<double> scores;
-};
-
-/// Algorithm 3: generates level s+1 from level s over `graph`. Stops and
-/// sets `*overflow` once the level exceeds `max_plans` (0 = unlimited), so
-/// an oversized level is never materialised.
-PlanLevel GetNextLevel(const SharonGraph& graph, const PlanLevel& parents,
-                       uint64_t max_plans = 0, bool* overflow = nullptr);
-
-/// Algorithm 4: BFS over valid plans, returning the best one.
+/// Algorithm 4: BFS over valid plans, returning the best one. Within a
+/// component, the best plan is the first one of maximal score in (size,
+/// then lexicographic) order; scores sum left to right in ascending vertex
+/// order, and component optima are summed in ConnectedComponents() order.
 PlanFinderResult FindOptimalPlan(const SharonGraph& graph,
                                  const PlanFinderOptions& opts = {});
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace sharon {
 namespace {
 
@@ -45,6 +47,48 @@ TEST(PatternTest, OverlapsIntersectingRanges) {
   EXPECT_TRUE(q.Overlaps(Pattern({1, 2}), Pattern({1, 2})));
   // Absent patterns never overlap.
   EXPECT_FALSE(q.Overlaps(Pattern({7, 8}), Pattern({1, 2})));
+}
+
+// Def. 6 stated over occurrence lists: some occurrence of a and some of
+// b intersect positionally. Overlaps scans only the positions of b that
+// could intersect each occurrence of a; it must agree with this on every
+// small pattern, repeated types (§7.3) included.
+bool OccurrencePairsOverlap(const Pattern& q, const Pattern& a,
+                            const Pattern& b) {
+  for (size_t ia : q.FindOccurrences(a)) {
+    for (size_t ib : q.FindOccurrences(b)) {
+      if (ia < ib + b.length() && ib < ia + a.length()) return true;
+    }
+  }
+  return false;
+}
+
+std::vector<Pattern> AllPatterns(size_t max_length, EventTypeId types) {
+  std::vector<Pattern> out = {Pattern()};
+  for (size_t i = 0; out[i].length() < max_length; ++i) {
+    for (EventTypeId t = 0; t < types; ++t) {
+      std::vector<EventTypeId> next = out[i].types();
+      next.push_back(t);
+      out.emplace_back(std::move(next));
+    }
+  }
+  return out;
+}
+
+TEST(PatternTest, OverlapsMatchesOccurrencePairs) {
+  const std::vector<Pattern> queries = AllPatterns(6, 2);
+  const std::vector<Pattern> subs = AllPatterns(3, 3);
+  TypeRegistry reg;
+  for (const char* name : {"A", "B", "C"}) reg.Intern(name);
+  for (const Pattern& q : queries) {
+    for (const Pattern& a : subs) {
+      for (const Pattern& b : subs) {
+        ASSERT_EQ(q.Overlaps(a, b), OccurrencePairsOverlap(q, a, b))
+            << q.ToString(reg) << " " << a.ToString(reg) << " "
+            << b.ToString(reg);
+      }
+    }
+  }
 }
 
 TEST(PatternTest, OrderingIsLexicographic) {

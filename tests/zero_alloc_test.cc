@@ -14,6 +14,11 @@
 // finalization, eviction) because that is the configuration whose steady
 // state is genuinely bounded; grow-forever mode allocates for its
 // monotonically growing result store by design.
+//
+// The optimizer's inner loops are held to the same discipline: the plan
+// finder (§6, Algorithms 3 and 4) keeps each lattice level in flat
+// buffers allocated once per call, so its allocations do not grow with
+// the plans it visits, and the Def. 6 conflict test allocates nothing.
 
 #include <gtest/gtest.h>
 
@@ -22,9 +27,13 @@
 
 #include "src/common/alloc_stats.h"
 #include "src/exec/engine.h"
+#include "src/graph/expansion.h"
+#include "src/graph/reduction.h"
 #include "src/planner/optimizer.h"
+#include "src/sharing/ccspan.h"
 #include "src/sharing/cost_model.h"
 #include "src/streamgen/rates.h"
+#include "src/streamgen/workload_gen.h"
 
 namespace sharon {
 namespace {
@@ -162,6 +171,67 @@ TEST(ZeroAllocTest, SteadyStateWithMetricsAndTracingIsAllocationFree) {
   EXPECT_GT(ring.emitted(), 0u);
   const obs::MetricsSnapshot snap = registry.Snapshot();
   EXPECT_FALSE(snap.counters.empty());
+}
+
+/// 30 generated queries in clusters of 10 over 24 types: expansion and
+/// reduction leave a graph whose lattice holds more than 10^5 valid plans.
+Workload PlannerWorkload() {
+  WorkloadGenConfig cfg;
+  cfg.num_queries = 30;
+  cfg.pattern_length = 8;
+  cfg.cluster_size = 10;
+  cfg.seed = 1;
+  return GenerateWorkload(cfg, 24);
+}
+
+TEST(ZeroAllocTest, PlanFinderAllocationsDoNotGrowWithPlans) {
+  const Workload w = PlannerWorkload();
+  const CostModel cm(TypeRates(std::vector<double>(24, 10.0)));
+  const SharonGraph::WeightFn weight = [&](const Candidate& c) {
+    return cm.BValue(c, w);
+  };
+  ExpansionOptions expansion;
+  expansion.max_options_per_candidate = 16;
+  SharonGraph g = ExpandGraph(
+      SharonGraph::Build(w, FindSharableCandidates(w), weight), w, weight,
+      expansion);
+  ReduceGraph(g);
+
+  const auto before = alloc_stats::Snapshot();
+  const PlanFinderResult found = FindOptimalPlan(g);
+  const auto delta = alloc_stats::Snapshot() - before;
+  ASSERT_TRUE(found.completed);
+  ASSERT_GE(found.plans_considered, 100'000u);
+  EXPECT_LT(delta.allocations, found.plans_considered / 100)
+      << delta.allocations << " allocations for " << found.plans_considered
+      << " plans";
+}
+
+TEST(ZeroAllocTest, ConflictTestIsAllocationFree) {
+  const Workload w = PlannerWorkload();
+  const std::vector<Candidate> cands = FindSharableCandidates(w);
+  // Pairs that share a query, so every call reaches the Def. 6 overlap
+  // test rather than stopping at disjoint query lists.
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t i = 0; i < cands.size() && pairs.size() < 1000; ++i) {
+    for (size_t j = i + 1; j < cands.size() && pairs.size() < 1000; ++j) {
+      if (!Intersect(cands[i].queries, cands[j].queries).empty()) {
+        pairs.emplace_back(i, j);
+      }
+    }
+  }
+  ASSERT_EQ(pairs.size(), 1000u);
+
+  size_t conflicts = 0;
+  const auto before = alloc_stats::Snapshot();
+  for (const auto& [i, j] : pairs) {
+    conflicts += SharonGraph::InConflict(cands[i], cands[j], w);
+  }
+  const auto delta = alloc_stats::Snapshot() - before;
+  EXPECT_EQ(delta.allocations, 0u);
+  // Both outcomes occur, so neither branch is skipped.
+  EXPECT_GT(conflicts, 0u);
+  EXPECT_LT(conflicts, pairs.size());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Runs the bench suite in Release and consolidates the results.
 
 Usage:
-    python3 tools/run_benches.py [--build-dir build] [--out BENCH_PR4.json]
+    python3 tools/run_benches.py --out BENCH_<name>.json [--build-dir build]
                                  [--quick] [--skip-build]
 
 Each bench prints one-line JSON records ({"bench": ..., "params": ...,
@@ -13,7 +13,9 @@ Each bench prints one-line JSON records ({"bench": ..., "params": ...,
   3. merges the checked-in pre-PR executor baseline
      (bench/baseline_pre_pr4.json, an interleaved seed-vs-PR4 A/B) and
      computes the speedup summary for the micro-executor cases,
-  4. writes one consolidated JSON document (default BENCH_PR4.json).
+  4. writes one consolidated JSON document to --out. There is no default:
+     every BENCH_*.json file in the repository is a point of the perf
+     trajectory, so a run must name a new file rather than overwrite one.
 
 The output format is documented in README.md ("Benchmarks").
 """
@@ -72,7 +74,8 @@ def run_bench(path, args):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--build-dir", default="build")
-    ap.add_argument("--out", default="BENCH_PR4.json")
+    ap.add_argument("--out", required=True,
+                    help="document to write, e.g. BENCH_<name>.json")
     ap.add_argument("--quick", action="store_true",
                     help="CI-sized runs (smaller streams)")
     ap.add_argument("--skip-build", action="store_true",
