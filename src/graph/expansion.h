@@ -7,6 +7,11 @@
 // conflict-causing queries (BFS over subsets, Alg. 5). The expanded
 // candidate set then gets a fresh conflict graph (Alg. 6) whose plans can
 // strictly beat the original graph's best plan (Example 13).
+//
+// Option query sets are bitsets over the candidate's query list; the
+// queries causing its conflict with each other vertex are found once per
+// candidate, so a subset costs a mask and a set lookup, and only the
+// options returned get a QueryList.
 
 #ifndef SHARON_GRAPH_EXPANSION_H_
 #define SHARON_GRAPH_EXPANSION_H_
@@ -31,11 +36,20 @@ std::vector<Candidate> ExpandCandidate(const SharonGraph& graph, VertexId v,
                                        const Workload& workload,
                                        const ExpansionOptions& opts);
 
-/// Algorithm 6: expands every vertex and rebuilds the conflict graph over
-/// all options (weights recomputed; non-beneficial options dropped).
+/// How far Algorithm 6 got before max_total_candidates stopped it.
+struct ExpansionStats {
+  size_t expanded = 0;          ///< vertices whose options were taken
+  bool budget_reached = false;  ///< the budget left options out
+};
+
+/// Algorithm 6: expands every vertex in ascending order and rebuilds the
+/// conflict graph over all options (weights recomputed; non-beneficial
+/// options dropped). Expansion stops once max_total_candidates options
+/// are taken; `stats`, if given, reports where.
 SharonGraph ExpandGraph(const SharonGraph& graph, const Workload& workload,
                         const SharonGraph::WeightFn& weight,
-                        const ExpansionOptions& opts);
+                        const ExpansionOptions& opts,
+                        ExpansionStats* stats = nullptr);
 
 }  // namespace sharon
 

@@ -45,11 +45,28 @@ ReductionResult ReduceGraph(SharonGraph& graph) {
   // component makes it strictly stronger than the paper's global bound —
   // weak candidates no longer hide behind unrelated components' weights —
   // while remaining sound for exactly the same Lemma 2 reason.
+  //
+  // A vertex is dirty when it lost a neighbour in the previous pass (all
+  // are dirty in the first). A component without a dirty vertex is the
+  // component it was in the previous pass, with the same alive set, Eq. 10
+  // bound and Scoremax values; it removed nothing then and would remove
+  // nothing now, so each pass evaluates only the components that hold a
+  // dirty vertex.
   std::vector<uint8_t> mark(graph.capacity(), 0);
+  std::vector<uint8_t> dirty(graph.capacity(), 1);
+  std::vector<uint8_t> next_dirty(graph.capacity(), 0);
+  auto remove = [&](VertexId v) {
+    graph.Remove(v);
+    for (VertexId u : graph.adjacency(v)) next_dirty[u] = 1;
+  };
   bool changed = true;
   while (changed) {
     changed = false;
     for (const auto& component : graph.ConnectedComponents()) {
+      if (std::none_of(component.begin(), component.end(),
+                       [&](VertexId v) { return dirty[v] != 0; })) {
+        continue;
+      }
       const double bound = ComponentBound(graph, component);
       // Conflict-ridden pruning (Def. 13): collect on one snapshot, then
       // remove, so the comparison is uniform within the pass.
@@ -60,19 +77,21 @@ ReductionResult ReduceGraph(SharonGraph& graph) {
         }
       }
       for (VertexId v : ridden) {
-        graph.Remove(v);
+        remove(v);
         result.pruned_ridden.push_back(v);
         changed = true;
       }
       // Conflict-free extraction (Def. 14).
       for (VertexId v : component) {
         if (graph.alive(v) && graph.Degree(v) == 0) {
-          graph.Remove(v);
+          remove(v);
           result.conflict_free.push_back(v);
           changed = true;
         }
       }
     }
+    std::swap(dirty, next_dirty);
+    std::fill(next_dirty.begin(), next_dirty.end(), 0);
   }
   std::sort(result.pruned_ridden.begin(), result.pruned_ridden.end());
   std::sort(result.conflict_free.begin(), result.conflict_free.end());

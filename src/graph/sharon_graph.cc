@@ -1,6 +1,8 @@
 #include "src/graph/sharon_graph.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace sharon {
 
@@ -25,28 +27,100 @@ bool SharonGraph::InConflict(const Candidate& a, const Candidate& b,
   return false;
 }
 
+namespace {
+
+/// True if the query bitsets a, b and o (`words` words each) share a bit.
+bool Meet(const uint64_t* a, const uint64_t* b, const uint64_t* o,
+          size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if (a[w] & b[w] & o[w]) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 SharonGraph SharonGraph::Build(const Workload& workload,
                                const std::vector<Candidate>& candidates,
                                const WeightFn& weight) {
   SharonGraph g;
   // Alg. 1 lines 2-5: beneficial candidates only.
+  QueryId max_query = 0;
   for (const Candidate& c : candidates) {
     if (c.queries.size() < 2) continue;
     double w = weight(c);
     if (w <= 0) continue;
     g.cands_.push_back(c);
     g.weights_.push_back(w);
+    max_query = std::max(max_query, c.queries.back());
   }
   const size_t n = g.cands_.size();
   g.adj_.resize(n);
   g.alive_.assign(n, true);
   g.alive_count_ = n;
-  // Alg. 1 lines 6-8: conflict edges.
-  for (VertexId i = 0; i < n; ++i) {
-    for (VertexId j = i + 1; j < n; ++j) {
-      if (InConflict(g.cands_[i], g.cands_[j], workload)) {
-        g.adj_[i].push_back(j);
-        g.adj_[j].push_back(i);
+
+  // Alg. 1 lines 6-8: conflict edges. Def. 6 depends on a query only
+  // through the two patterns, so the vertices are cut into groups, runs
+  // of consecutive vertices with one pattern (CCSpan emits candidates
+  // sorted by pattern, expansion emits each vertex's options together).
+  // For each pair of groups, the queries of both groups' unions in which
+  // the two patterns overlap form the set O, computed once; a vertex pair
+  // of the two groups conflicts iff its query sets meet inside O.
+  std::vector<VertexId> starts;  // group k spans [starts[k], starts[k+1])
+  for (VertexId v = 0; v < n; ++v) {
+    if (v == 0 || !(g.cands_[v].pattern == g.cands_[v - 1].pattern)) {
+      starts.push_back(v);
+    }
+  }
+  starts.push_back(static_cast<VertexId>(n));
+  const size_t groups = starts.size() - 1;
+  // Query-id bitsets: one per vertex, one union per group, and O.
+  const size_t words = max_query / 64 + 1;
+  std::vector<uint64_t> bits((n + groups + 1) * words, 0);
+  uint64_t* const vertex_bits = bits.data();
+  uint64_t* const group_bits = vertex_bits + n * words;
+  uint64_t* const overlap = group_bits + groups * words;
+  for (size_t k = 0; k < groups; ++k) {
+    for (VertexId v = starts[k]; v < starts[k + 1]; ++v) {
+      for (QueryId q : g.cands_[v].queries) {
+        const uint64_t bit = uint64_t{1} << (q % 64);
+        vertex_bits[v * words + q / 64] |= bit;
+        group_bits[k * words + q / 64] |= bit;
+      }
+    }
+  }
+  // Group pairs in ascending order and vertex pairs in ascending order
+  // within them, so every adjacency list comes out sorted.
+  for (size_t a = 0; a < groups; ++a) {
+    const Pattern& pa = g.cands_[starts[a]].pattern;
+    const uint64_t* ua = group_bits + a * words;
+    for (size_t b = a; b < groups; ++b) {
+      const Pattern& pb = g.cands_[starts[b]].pattern;
+      const uint64_t* ub = group_bits + b * words;
+      bool any = false;
+      for (size_t w = 0; w < words; ++w) {
+        uint64_t o = 0;
+        for (uint64_t common = ua[w] & ub[w]; common != 0;
+             common &= common - 1) {
+          const int bit = std::countr_zero(common);
+          const QueryId q = static_cast<QueryId>(w * 64 + bit);
+          if (workload.query(q).pattern.Overlaps(pa, pb)) {
+            o |= uint64_t{1} << bit;
+          }
+        }
+        overlap[w] = o;
+        any |= o != 0;
+      }
+      if (!any) continue;
+      for (VertexId i = starts[a]; i < starts[a + 1]; ++i) {
+        const uint64_t* qi = vertex_bits + i * words;
+        for (VertexId j = a == b ? i + 1 : starts[b]; j < starts[b + 1];
+             ++j) {
+          if (Meet(qi, vertex_bits + j * words, overlap, words)) {
+            g.adj_[i].push_back(j);
+            g.adj_[j].push_back(i);
+          }
+        }
       }
     }
   }

@@ -28,7 +28,13 @@ class SharonGraph {
 
   /// Algorithm 1: keeps candidates with positive benefit and |Qp| > 1,
   /// inserting conflict edges. `workload` supplies the query patterns for
-  /// the Def. 6 overlap test.
+  /// the Def. 6 overlap test, which runs once per query and pair of
+  /// same-pattern runs of candidates rather than once per candidate pair:
+  /// keep candidates with one pattern consecutive (as CCSpan and
+  /// expansion emit them) for the fastest build. The edges do not depend
+  /// on the order; adjacency lists come out sorted. Scratch holds one
+  /// query-id bitset per candidate: about candidates x (largest query id
+  /// / 64) words.
   static SharonGraph Build(const Workload& workload,
                            const std::vector<Candidate>& candidates,
                            const WeightFn& weight);

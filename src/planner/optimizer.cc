@@ -24,6 +24,26 @@ SharonGraph BuildTimed(const Workload& workload,
   return g;
 }
 
+// Algorithm 6, timed. The phase note says when max_total_candidates cut
+// expansion short, since the graph then lacks some vertices' options.
+SharonGraph ExpandTimed(const SharonGraph& g, const Workload& workload,
+                        const SharonGraph::WeightFn& weight,
+                        const ExpansionOptions& opts, OptimizerResult* r) {
+  StopWatch watch;
+  ExpansionStats stats;
+  SharonGraph expanded = ExpandGraph(g, workload, weight, opts, &stats);
+  r->expanded_vertices = expanded.num_vertices();
+  std::string note;
+  if (stats.budget_reached) {
+    note = "expansion budget reached after " +
+           std::to_string(stats.expanded) + " of " +
+           std::to_string(g.num_vertices()) + " candidates";
+  }
+  r->phases.push_back({"graph expansion", watch.ElapsedMillis(),
+                       expanded.EstimatedBytes(), std::move(note)});
+  return expanded;
+}
+
 }  // namespace
 
 OptimizerResult OptimizeGreedy(const Workload& workload,
@@ -49,11 +69,7 @@ OptimizerResult OptimizeExhaustive(const Workload& workload,
   SharonGraph g = BuildTimed(workload, candidates, weight, &r);
 
   if (config.expand) {
-    StopWatch watch;
-    g = ExpandGraph(g, workload, weight, config.expansion);
-    r.expanded_vertices = g.num_vertices();
-    r.phases.push_back(
-        {"graph expansion", watch.ElapsedMillis(), g.EstimatedBytes(), ""});
+    g = ExpandTimed(g, workload, weight, config.expansion, &r);
   }
 
   StopWatch watch;
@@ -82,11 +98,7 @@ OptimizerResult OptimizeSharon(const Workload& workload,
   SharonGraph g = BuildTimed(workload, candidates, weight, &r);
 
   if (config.expand) {
-    StopWatch watch;
-    g = ExpandGraph(g, workload, weight, config.expansion);
-    r.expanded_vertices = g.num_vertices();
-    r.phases.push_back(
-        {"graph expansion", watch.ElapsedMillis(), g.EstimatedBytes(), ""});
+    g = ExpandTimed(g, workload, weight, config.expansion, &r);
   }
 
   std::vector<VertexId> conflict_free;

@@ -1,6 +1,7 @@
 #include "src/planner/plan_finder.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/metrics.h"
 
@@ -51,9 +52,7 @@ class ConflictBits {
     bits_[i * stride_ + j / 64] |= uint64_t{1} << (j % 64);
   }
   const uint64_t* Row(uint32_t i) const { return bits_.data() + i * stride_; }
-  static bool Test(const uint64_t* row, uint32_t j) {
-    return (row[j / 64] >> (j % 64)) & 1u;
-  }
+  size_t stride() const { return stride_; }
   void Reserve(size_t n) { bits_.reserve(n * ((n + 63) / 64)); }
   size_t Bytes() const { return bits_.capacity() * sizeof(uint64_t); }
 
@@ -70,6 +69,9 @@ struct Workspace {
   ConflictBits conflicts;
   Level level, next;
   std::vector<uint32_t> best;   ///< the component's best plan so far
+  /// One row over component-local indices: the last indices of the block
+  /// being joined. All zero between blocks; not counted in Bytes().
+  std::vector<uint64_t> members;
 
   size_t Bytes() const {
     return local.capacity() * sizeof(uint32_t) +
@@ -81,33 +83,55 @@ struct Workspace {
 /// Algorithm 3: generates level s+1 (`children`) from level s (`parents`)
 /// by joining the plans of each block pairwise. Returns false once the
 /// level would exceed `max_plans` (0 = unlimited), so an oversized level
-/// is never materialised.
+/// is never materialised. `members` is a zeroed row of the conflict
+/// matrix's stride, and is zeroed again on return.
 bool GetNextLevel(const ConflictBits& conflicts, const double* weights,
-                  const Level& parents, uint64_t max_plans, Level* children) {
+                  const Level& parents, uint64_t max_plans, Level* children,
+                  uint64_t* members) {
   const size_t width = parents.width;
   children->Reset(width + 1);
   for (size_t b = 0; b + 1 < parents.blocks.size(); ++b) {
+    const size_t block_begin = parents.blocks[b];
     const size_t block_end = parents.blocks[b + 1];
-    for (size_t i = parents.blocks[b]; i < block_end; ++i) {
+    // The block's plans share all but their last index, which ascends
+    // with the plan, so a set bit names one plan of the block and an
+    // upward scan of the mask visits the plans in block order.
+    for (size_t j = block_begin; j < block_end; ++j) {
+      const uint32_t vj = parents.last(j);
+      members[vj / 64] |= uint64_t{1} << (vj % 64);
+    }
+    uint64_t* const first_word = members + parents.last(block_begin) / 64;
+    uint64_t* const end_word = members + parents.last(block_end - 1) / 64 + 1;
+    for (size_t i = block_begin; i < block_end; ++i) {
       const size_t first_child = children->size();
       const uint32_t* parent = parents.plan(i);
-      const uint64_t* row = conflicts.Row(parent[width - 1]);
-      for (size_t j = i + 1; j < block_end; ++j) {
-        const uint32_t vj = parents.last(j);
-        // Lemma 6: the child is valid iff the two differing candidates
-        // are not in conflict.
-        if (ConflictBits::Test(row, vj)) continue;
-        if (max_plans > 0 && children->size() >= max_plans) return false;
-        // The block is sorted, so the parent's last index is below vj and
-        // the child is sorted too.
-        children->plans.insert(children->plans.end(), parent, parent + width);
-        children->plans.push_back(vj);
-        children->scores.push_back(parents.scores[i] + weights[vj]);
+      const uint32_t vi = parent[width - 1];
+      const uint64_t* row = conflicts.Row(vi);
+      // Lemma 6: the child is valid iff the two differing candidates are
+      // not in conflict, so plan i joins the block's members above vi
+      // that are not in vi's conflict row.
+      for (size_t w = vi / 64; members + w < end_word; ++w) {
+        uint64_t partners = members[w] & ~row[w];
+        if (w == vi / 64) partners &= ~uint64_t{0} << (vi % 64) << 1;
+        for (; partners != 0; partners &= partners - 1) {
+          if (max_plans > 0 && children->size() >= max_plans) {
+            std::fill(first_word, end_word, 0);
+            return false;
+          }
+          const uint32_t vj =
+              static_cast<uint32_t>(w * 64 + std::countr_zero(partners));
+          // vi < vj, so the child is sorted too.
+          children->plans.insert(children->plans.end(), parent,
+                                 parent + width);
+          children->plans.push_back(vj);
+          children->scores.push_back(parents.scores[i] + weights[vj]);
+        }
       }
       if (children->size() > first_child) {
         children->blocks.push_back(first_child);
       }
     }
+    std::fill(first_word, end_word, 0);
   }
   children->blocks.push_back(children->size());
   return true;
@@ -123,6 +147,7 @@ bool FindOptimalForComponent(const SharonGraph& graph,
   const size_t n = component.size();
   for (uint32_t i = 0; i < n; ++i) ws->local[component[i]] = i;
   ws->conflicts.Reset(n);
+  ws->members.assign(ws->conflicts.stride(), 0);
   ws->weights.clear();
   for (uint32_t i = 0; i < n; ++i) {
     ws->weights.push_back(graph.weight(component[i]));
@@ -164,7 +189,7 @@ bool FindOptimalForComponent(const SharonGraph& graph,
       return false;
     }
     if (!GetNextLevel(ws->conflicts, ws->weights.data(), *level,
-                      opts.max_level_plans, next)) {
+                      opts.max_level_plans, next, ws->members.data())) {
       result->limit = PlanFinderLimit::kLevelSize;
       return false;
     }
@@ -205,6 +230,7 @@ PlanFinderResult FindOptimalPlan(const SharonGraph& graph,
   ws.local.resize(graph.capacity());
   ws.weights.reserve(widest);
   ws.conflicts.Reserve(widest);
+  ws.members.reserve((widest + 63) / 64);
   for (const auto& component : components) {
     if (!FindOptimalForComponent(graph, component, opts, watch, &ws,
                                  &result)) {

@@ -13,10 +13,13 @@
 // component-local vertex indices, one of scores and one of block starts.
 // The children of one parent form exactly one block of the next level
 // (the plans sharing a prefix), so the joins need no prefix comparison.
-// Each component's conflicts are a bit matrix, so a Lemma 6 test is one
-// bit read. The matrix, the weights and two level buffers are allocated
-// once per FindOptimalPlan call and reused across levels and components,
-// so the search allocates independently of the number of plans it visits.
+// Each component's conflicts are a bit matrix, and each block's last
+// indices are one mask over the same indices, so a parent's valid
+// partners (Lemma 6) are the mask minus the parent's conflict row, read
+// upward with count-trailing-zeros in the order of a pairwise loop. The
+// matrix, the weights and two level buffers are allocated once per
+// FindOptimalPlan call and reused across levels and components, so the
+// search allocates independently of the number of plans it visits.
 
 #ifndef SHARON_PLANNER_PLAN_FINDER_H_
 #define SHARON_PLANNER_PLAN_FINDER_H_

@@ -24,9 +24,11 @@ std::vector<size_t> Pattern::FindOccurrences(const Pattern& sub) const {
 }
 
 std::optional<size_t> Pattern::Find(const Pattern& sub) const {
-  auto occ = FindOccurrences(sub);
-  if (occ.empty()) return std::nullopt;
-  return occ.front();
+  if (sub.empty() || sub.length() > length()) return std::nullopt;
+  for (size_t i = 0; i + sub.length() <= length(); ++i) {
+    if (OccursAt(types_, sub, i)) return i;
+  }
+  return std::nullopt;
 }
 
 bool Pattern::Overlaps(const Pattern& a, const Pattern& b) const {

@@ -3,6 +3,18 @@
 #include <algorithm>
 
 namespace sharon {
+namespace {
+
+/// Eq. 1 over the sub-pattern [begin, end) of `p`, summed left to right
+/// from 0 exactly as TypeRates::OfPattern sums a copied sub-pattern.
+double RateOf(const TypeRates& rates, const Pattern& p, size_t begin,
+              size_t end) {
+  double r = 0;
+  for (size_t i = begin; i < end; ++i) r += rates.Of(p.type(i));
+  return r;
+}
+
+}  // namespace
 
 double CostModel::MultiplicityFactor(const Pattern& p) {
   size_t k = 1;
@@ -22,20 +34,18 @@ double CostModel::NonShared(const Candidate& c, const Workload& w) const {
 }
 
 double CostModel::Comp(const Pattern& p, const Query& q) const {
-  auto pos = q.pattern.Find(p);
+  const Pattern& qp = q.pattern;
+  auto pos = qp.Find(p);
   if (!pos) return 0;
   const size_t m = *pos;
   const size_t after = m + p.length();
   double cost = 0;
-  if (m > 0) {
-    Pattern prefix = q.pattern.Sub(0, m);
-    cost += rates_.Of(prefix.front()) * rates_.OfPattern(prefix);
+  if (m > 0) cost += rates_.Of(qp.front()) * RateOf(rates_, qp, 0, m);
+  if (after < qp.length()) {
+    cost += rates_.Of(qp.type(after)) *
+            RateOf(rates_, qp, after, qp.length());
   }
-  if (after < q.pattern.length()) {
-    Pattern suffix = q.pattern.Sub(after, q.pattern.length() - after);
-    cost += rates_.Of(suffix.front()) * rates_.OfPattern(suffix);
-  }
-  return cost * MultiplicityFactor(q.pattern);
+  return cost * MultiplicityFactor(qp);
 }
 
 double CostModel::Comb(const Pattern& p, const Query& q) const {

@@ -116,6 +116,44 @@ TEST(OptimizerTest, LevelSizeLimitIsSurfacedDistinctly) {
   }
 }
 
+// Alg. 6 stops taking options at max_total_candidates. The expansion
+// phase notes after how many of the graph's vertices it stopped, and stays
+// clean when the budget holds every option.
+TEST(OptimizerTest, ExpansionBudgetCutIsNoted) {
+  WorkloadGenConfig cfg;
+  cfg.num_queries = 12;
+  cfg.pattern_length = 5;
+  cfg.seed = 3;
+  Workload w = GenerateWorkload(cfg, 16);
+  CostModel cm = UniformModel(16);
+  const SharonGraph g = SharonGraph::Build(
+      w, FindSharableCandidates(w),
+      [&](const Candidate& c) { return cm.BValue(c, w); });
+  ASSERT_GE(g.num_vertices(), 4u);
+  OptimizerConfig config;
+  std::vector<size_t> options;
+  size_t total = 0;
+  for (VertexId v : g.AliveVertices()) {
+    options.push_back(ExpandCandidate(g, v, w, config.expansion).size());
+    total += options.back();
+  }
+
+  // Room for the first two vertices' options and one more: the cut comes
+  // at the third vertex.
+  config.expansion.max_total_candidates =
+      static_cast<uint32_t>(options[0] + options[1] + 1);
+  const OptimizerResult cut = OptimizeSharon(w, cm, config);
+  ASSERT_GE(cut.phases.size(), 2u);
+  EXPECT_EQ(cut.phases[1].name, "graph expansion");
+  EXPECT_EQ(cut.phases[1].note,
+            "expansion budget reached after 3 of " +
+                std::to_string(g.num_vertices()) + " candidates");
+
+  config.expansion.max_total_candidates = static_cast<uint32_t>(total);
+  const OptimizerResult whole = OptimizeSharon(w, cm, config);
+  EXPECT_TRUE(whole.phases[1].note.empty()) << whole.phases[1].note;
+}
+
 TEST(OptimizerTest, PhasesAreReported) {
   TrafficFixture f = MakeTrafficFixture();
   CostModel cm = UniformModel(f.types.size());

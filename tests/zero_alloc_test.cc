@@ -18,7 +18,10 @@
 // The optimizer's inner loops are held to the same discipline: the plan
 // finder (§6, Algorithms 3 and 4) keeps each lattice level in flat
 // buffers allocated once per call, so its allocations do not grow with
-// the plans it visits, and the Def. 6 conflict test allocates nothing.
+// the plans it visits; the Def. 6 conflict test and the cost model's
+// benefit value allocate nothing; and candidate expansion (§7.1,
+// Algorithm 5) allocates per option it returns, not per query subset it
+// tries.
 
 #include <gtest/gtest.h>
 
@@ -232,6 +235,43 @@ TEST(ZeroAllocTest, ConflictTestIsAllocationFree) {
   // Both outcomes occur, so neither branch is skipped.
   EXPECT_GT(conflicts, 0u);
   EXPECT_LT(conflicts, pairs.size());
+}
+
+TEST(ZeroAllocTest, ExpansionAllocatesPerOptionNotPerSubset) {
+  const Workload w = PlannerWorkload();
+  const CostModel cm(TypeRates(std::vector<double>(24, 10.0)));
+  const SharonGraph g = SharonGraph::Build(
+      w, FindSharableCandidates(w),
+      [&](const Candidate& c) { return cm.BValue(c, w); });
+  ExpansionOptions expansion;
+  expansion.max_options_per_candidate = 16;
+  const std::vector<VertexId> vertices = g.AliveVertices();
+
+  size_t options = 0;
+  const auto before = alloc_stats::Snapshot();
+  for (VertexId v : vertices) {
+    options += ExpandCandidate(g, v, w, expansion).size();
+  }
+  const auto delta = alloc_stats::Snapshot() - before;
+  ASSERT_GT(options, vertices.size());  // derived options, not only originals
+  EXPECT_LT(delta.allocations, 16 * options)
+      << delta.allocations << " allocations for " << options << " options";
+}
+
+TEST(ZeroAllocTest, CostModelBValueIsAllocationFree) {
+  const Workload w = PlannerWorkload();
+  TypeRates rates;
+  for (EventTypeId t = 0; t < 24; ++t) rates.Set(t, 1.0 + t % 7);
+  const CostModel cm(rates);
+  const std::vector<Candidate> cands = FindSharableCandidates(w);
+  ASSERT_FALSE(cands.empty());
+
+  double total = 0;
+  const auto before = alloc_stats::Snapshot();
+  for (const Candidate& c : cands) total += cm.BValue(c, w);
+  const auto delta = alloc_stats::Snapshot() - before;
+  EXPECT_EQ(delta.allocations, 0u);
+  EXPECT_NE(total, 0.0);
 }
 
 }  // namespace
