@@ -134,6 +134,30 @@ void EncodeEngineFrames(const Engine& engine, size_t segment,
   }
 }
 
+uint64_t CompiledFingerprint(const CompiledEngine& compiled) {
+  uint64_t h = 0x53686172u;  // "Shar"
+  h = Mix(h, static_cast<uint64_t>(compiled.window.length));
+  h = Mix(h, static_cast<uint64_t>(compiled.window.slide));
+  h = Mix(h, compiled.partition);
+  h = Mix(h, compiled.counters.size());
+  for (const auto& c : compiled.counters) {
+    h = Mix(h, c.shared ? 1 : 0);
+    h = Mix(h, static_cast<uint64_t>(c.spec.fn));
+    h = Mix(h, c.spec.target_type);
+    h = Mix(h, c.spec.target_attr);
+    h = Mix(h, c.pattern.length());
+    for (EventTypeId t : c.pattern.types()) h = Mix(h, t);
+  }
+  h = Mix(h, compiled.chains.size());
+  for (const auto& ch : compiled.chains) {
+    h = Mix(h, ch.queries.size());
+    for (QueryId q : ch.queries) h = Mix(h, q);
+    h = Mix(h, ch.counter_idx.size());
+    for (uint32_t ci : ch.counter_idx) h = Mix(h, ci);
+  }
+  return h;
+}
+
 }  // namespace
 
 void AppendFrame(std::vector<uint8_t>& out, FrameTag tag,
@@ -176,39 +200,17 @@ std::string FrameParser::Next(FrameTag* tag, serde::BinaryReader* payload) {
   return "";
 }
 
-uint64_t PlanFingerprint(const CompiledEngine& compiled) {
-  uint64_t h = 0x53686172u;  // "Shar"
-  h = Mix(h, static_cast<uint64_t>(compiled.window.length));
-  h = Mix(h, static_cast<uint64_t>(compiled.window.slide));
-  h = Mix(h, compiled.partition);
-  h = Mix(h, compiled.counters.size());
-  for (const auto& c : compiled.counters) {
-    h = Mix(h, c.shared ? 1 : 0);
-    h = Mix(h, static_cast<uint64_t>(c.spec.fn));
-    h = Mix(h, c.spec.target_type);
-    h = Mix(h, c.spec.target_attr);
-    h = Mix(h, c.pattern.length());
-    for (EventTypeId t : c.pattern.types()) h = Mix(h, t);
-  }
-  h = Mix(h, compiled.chains.size());
-  for (const auto& ch : compiled.chains) {
-    h = Mix(h, ch.queries.size());
-    for (QueryId q : ch.queries) h = Mix(h, q);
-    h = Mix(h, ch.counter_idx.size());
-    for (uint32_t ci : ch.counter_idx) h = Mix(h, ci);
-  }
-  return h;
-}
-
 uint64_t PlanFingerprint(const MultiEnginePlan& plan) {
+  // The routing is the original ids per segment (none for a UniformPlan,
+  // whose identity routing must not pin the workload size: query churn
+  // grows it). The compiled chains already name every routed query.
   uint64_t h = 0x4d756c74u;  // "Mult"
   h = Mix(h, plan.segments.size());
   for (const auto& seg : plan.segments) {
-    h = Mix(h, seg.compiled ? PlanFingerprint(*seg.compiled) : 0);
+    h = Mix(h, seg.compiled ? CompiledFingerprint(*seg.compiled) : 0);
     h = Mix(h, seg.original_ids.size());
     for (QueryId q : seg.original_ids) h = Mix(h, q);
   }
-  h = Mix(h, plan.total_queries);
   return h;
 }
 
@@ -217,7 +219,6 @@ std::string SaveManifest(const Manifest& m, const std::string& path) {
   w.U32(m.version);
   w.U64(m.checkpoint_id);
   w.I64(m.boundary);
-  w.U8(m.mode);
   w.U64(m.num_shards);
   w.U64(m.num_segments);
   w.U32(m.partition);
@@ -254,7 +255,6 @@ std::string LoadManifest(const std::string& path, Manifest* out) {
   }
   out->checkpoint_id = r.U64();
   out->boundary = r.I64();
-  out->mode = r.U8();
   out->num_shards = r.U64();
   out->num_segments = r.U64();
   out->partition = r.U32();
@@ -273,25 +273,19 @@ std::string LoadManifest(const std::string& path, Manifest* out) {
 
 std::vector<uint8_t> EncodeShardCheckpoint(const ShardCheckpointInput& in) {
   std::vector<uint8_t> out;
-  const uint8_t mode = in.engine ? 1 : 2;
-  const size_t num_segments = in.engine ? 1 : in.multi->engines().size();
+  const auto& engines = in.executor->engines();
   {
     serde::BinaryWriter w;
     w.U64(in.checkpoint_id);
     w.I64(in.boundary);
     w.U64(in.shard_index);
     w.U64(in.num_shards);
-    w.U8(mode);
-    w.U64(num_segments);
+    w.U64(engines.size());
     w.I64(in.merged_watermark);
     AppendFrame(out, FrameTag::kShardHeader, w.buffer());
   }
-  if (in.engine) {
-    EncodeEngineFrames(*in.engine, 0, out);
-  } else {
-    for (size_t s = 0; s < num_segments; ++s) {
-      EncodeEngineFrames(*in.multi->engines()[s], s, out);
-    }
+  for (size_t s = 0; s < engines.size(); ++s) {
+    EncodeEngineFrames(*engines[s], s, out);
   }
   {
     std::vector<CellRecord> cells;
@@ -331,7 +325,6 @@ std::string DecodeShardCheckpoint(const std::vector<uint8_t>& bytes,
         out->boundary = r.I64();
         out->shard_index = r.U64();
         out->num_shards = r.U64();
-        out->mode = r.U8();
         const uint64_t num_segments = r.U64();
         out->merged_watermark = r.I64();
         if (!r.ok()) return "shard header truncated";

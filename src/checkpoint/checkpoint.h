@@ -26,10 +26,11 @@
 // On-disk layout: one directory per checkpoint — `shard-NNN.bin` written
 // by each shard worker (parallel I/O) plus `manifest.bin` written LAST by
 // the coordinator; a directory without a manifest is a torn checkpoint
-// and refuses to restore. Every file is a sequence of length-prefixed,
-// schema-tagged, CRC-checked frames of endian-stable bytes
-// (src/common/serde.h), so a checkpoint written on one machine restores
-// on another.
+// and refuses to restore. A shard file holds the engine frames of every
+// segment its MultiEngine runs (one for a uniform workload). Every file
+// is a sequence of length-prefixed, schema-tagged, CRC-checked frames of
+// endian-stable bytes (src/common/serde.h), so a checkpoint written on
+// one machine restores on another.
 //
 // Restore may target a DIFFERENT shard count: all executor state except
 // the shared scalars is keyed by the partition-attribute group, so the
@@ -59,7 +60,7 @@ inline constexpr uint32_t kMagic = 0x4b434853;
 
 /// Format version; bumped on any frame-schema change. Restore refuses a
 /// mismatched version outright (no cross-version migration).
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// Name of the coordinator-written manifest inside a checkpoint
 /// directory. Written LAST: its presence marks the checkpoint complete.
@@ -104,7 +105,7 @@ class FrameParser {
   bool done_ = false;
 };
 
-/// Checkpoint-wide metadata. The fingerprint pins the compiled plan: a
+/// Checkpoint-wide metadata. The fingerprint pins the compiled segments: a
 /// checkpoint only restores into a runtime whose compiled templates are
 /// structurally identical (group payloads are positional in them).
 struct Manifest {
@@ -116,9 +117,8 @@ struct Manifest {
   /// marker position; the boundary names the first window whose
   /// finalization the restored incarnation can still influence.
   Timestamp boundary = 0;
-  uint8_t mode = 0;  ///< 1 = uniform Engine shards, 2 = MultiEngine shards
   uint64_t num_shards = 0;
-  uint64_t num_segments = 1;  ///< engines per shard (1 unless MultiEngine)
+  uint64_t num_segments = 1;  ///< engines per shard (1 for a uniform plan)
   AttrIndex partition = kNoAttr;
   uint64_t plan_fingerprint = 0;
   DisorderPolicy disorder;
@@ -136,14 +136,11 @@ std::string SaveManifest(const Manifest& m, const std::string& path);
 /// and version mismatches with a diagnostic.
 std::string LoadManifest(const std::string& path, Manifest* out);
 
-/// Structural fingerprint of a compiled uniform plan: window, partition,
-/// counter templates (pattern, projected spec, shared flag) and chain
-/// wiring. Two plans with equal fingerprints instantiate identical
+/// Structural fingerprint of the segments a runtime runs: per segment, the
+/// compiled plan's window, partition, counter templates (pattern,
+/// projected spec, shared flag) and chain wiring, plus the original-id
+/// routing. Two plans with equal fingerprints instantiate identical
 /// per-group state layouts.
-uint64_t PlanFingerprint(const CompiledEngine& compiled);
-
-/// Fingerprint of a multi-engine plan: per-segment compiled fingerprints
-/// plus the original-id routing.
 uint64_t PlanFingerprint(const MultiEnginePlan& plan);
 
 /// One serialized result cell. `store` distinguishes staged (0) from
@@ -156,16 +153,15 @@ struct CellRecord {
   AggState state;
 };
 
-/// What one shard worker hands the encoder at the marker cut. Exactly one
-/// of engine/multi is non-null; archive/retired may be null (empty).
+/// What one shard worker hands the encoder at the marker cut. `executor`
+/// must be set; archive/retired may be null (empty).
 struct ShardCheckpointInput {
   uint64_t checkpoint_id = 0;
   Timestamp boundary = 0;
   size_t shard_index = 0;
   size_t num_shards = 0;
   Timestamp merged_watermark = kNoWatermark;
-  const Engine* engine = nullptr;
-  const MultiEngine* multi = nullptr;
+  const MultiEngine* executor = nullptr;
   const ResultCollector* archive = nullptr;
   const WatermarkStats* retired = nullptr;
 };
@@ -181,7 +177,6 @@ struct ShardCheckpointData {
   Timestamp boundary = 0;
   uint64_t shard_index = 0;
   uint64_t num_shards = 0;
-  uint8_t mode = 0;
   Timestamp merged_watermark = kNoWatermark;
 
   struct SegmentState {

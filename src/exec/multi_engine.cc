@@ -45,6 +45,14 @@ std::shared_ptr<const MultiEnginePlan> PlanMultiEngine(
   return plan;
 }
 
+std::shared_ptr<const MultiEnginePlan> UniformPlan(
+    const Workload& workload, CompiledPlanHandle compiled) {
+  auto plan = std::make_shared<MultiEnginePlan>();
+  plan->segments.push_back({workload, {}, std::move(compiled)});
+  plan->total_queries = workload.size();
+  return plan;
+}
+
 MultiEngine::MultiEngine(const Workload& workload, const CostModel& cost_model,
                          const OptimizerConfig& config)
     : MultiEngine(PlanMultiEngine(workload, cost_model, config)) {}
@@ -70,10 +78,6 @@ MultiEngine::MultiEngine(std::shared_ptr<const MultiEnginePlan> plan)
   }
 }
 
-void MultiEngine::OnEvent(const Event& e) {
-  for (auto& engine : engines_) engine->OnEvent(e);
-}
-
 void MultiEngine::SetDisorderPolicy(const DisorderPolicy& policy) {
   for (auto& engine : engines_) engine->SetDisorderPolicy(policy);
 }
@@ -87,8 +91,7 @@ void MultiEngine::CloseStream() {
 }
 
 bool MultiEngine::Finalized(QueryId query, WindowId window) const {
-  const MultiEnginePlan::Route& r = plan_->routes.at(query);
-  return engines_[r.segment]->Finalized(window);
+  return engines_[plan_->RouteOf(query).segment]->Finalized(window);
 }
 
 WatermarkStats MultiEngine::watermark_stats() const {
@@ -96,9 +99,10 @@ WatermarkStats MultiEngine::watermark_stats() const {
   // counters (late drops, regressions, buffer peak) must not be summed
   // across segments — that would overcount by the segment count. They
   // combine by max (identical in practice); per-engine state counters
-  // (eviction, finalization) are disjoint and sum; the frontier is the
-  // minimum. Contrast WatermarkStats::MergeFrom, whose additive semantics
-  // fit shards that each see a disjoint slice of the stream.
+  // (eviction, finalization, suppression) are disjoint and sum; the
+  // frontier is the minimum. Contrast WatermarkStats::MergeFrom, whose
+  // additive semantics fit shards that each see a disjoint slice of the
+  // stream.
   WatermarkStats out;
   for (const auto& engine : engines_) {
     const WatermarkStats& ws = engine->watermark_stats();
@@ -115,6 +119,7 @@ WatermarkStats MultiEngine::watermark_stats() const {
     out.evicted_groups += ws.evicted_groups;
     out.finalized_windows += ws.finalized_windows;
     out.finalized_cells += ws.finalized_cells;
+    out.suppressed_cells += ws.suppressed_cells;
   }
   return out;
 }
@@ -146,8 +151,20 @@ double MultiEngine::Value(QueryId query, WindowId window, AttrValue group,
 
 AggState MultiEngine::Get(QueryId query, WindowId window,
                           AttrValue group) const {
-  const MultiEnginePlan::Route& r = plan_->routes.at(query);
+  const MultiEnginePlan::Route r = plan_->RouteOf(query);
   return engines_[r.segment]->results().Get(r.local, window, group);
+}
+
+void MultiEngine::ForEachCell(
+    const std::function<void(const ResultKey&, const AggState&)>& fn) const {
+  for (size_t s = 0; s < engines_.size(); ++s) {
+    engines_[s]->results().ForEachCell(
+        [&](const ResultKey& key, const AggState& state) {
+          ResultKey original = key;
+          original.query = plan_->OriginalId(s, key.query);
+          fn(original, state);
+        });
+  }
 }
 
 size_t MultiEngine::num_shared_counters() const {

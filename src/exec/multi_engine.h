@@ -11,11 +11,14 @@
 // Planning (optimizer + plan compilation) is split from instantiation:
 // PlanMultiEngine produces an immutable MultiEnginePlan that any number of
 // MultiEngine instances share — the per-shard engines of
-// runtime::ShardedRuntime all reuse one planning pass.
+// runtime::ShardedRuntime all reuse one planning pass. A uniform workload
+// is the one-segment case (UniformPlan), so every runtime shard drives a
+// MultiEngine whatever the workload's shape.
 
 #ifndef SHARON_EXEC_MULTI_ENGINE_H_
 #define SHARON_EXEC_MULTI_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -24,7 +27,7 @@
 
 namespace sharon {
 
-/// Immutable outcome of planning a non-uniform workload: the uniform
+/// Immutable outcome of planning a workload as uniform segments: the
 /// segment workloads, their compiled sharing plans, and the routing table
 /// from original query ids to (segment, segment-local id). Owns the
 /// segment workloads, so engines built from it must not outlive it — hold
@@ -44,12 +47,33 @@ struct MultiEnginePlan {
 
   std::string error;  ///< empty on success
   std::vector<Segment> segments;
-  std::vector<Route> routes;            ///< indexed by original query id
+  /// Indexed by original query id. Empty in a UniformPlan, whose one
+  /// segment runs every query under its own id (see uniform()).
+  std::vector<Route> routes;
   std::vector<OptimizerResult> plans;   ///< per-segment optimizer outcomes
   size_t total_queries = 0;
 
   bool ok() const { return error.empty(); }
+
+  /// True for a UniformPlan: one segment and identity routing, so ids
+  /// appended to the workload later (query churn) resolve too. Only such
+  /// a plan can hot-swap its segment (src/runtime/plan_swap.h).
+  bool uniform() const { return routes.empty() && segments.size() == 1; }
+
+  /// Segment and segment-local id of an original query id.
+  Route RouteOf(QueryId query) const {
+    return uniform() ? Route{0, query} : routes.at(query);
+  }
+  /// Original query id of segment `segment`'s local id `local`.
+  QueryId OriginalId(size_t segment, QueryId local) const {
+    return uniform() ? local : segments[segment].original_ids.at(local);
+  }
 };
+
+/// The one-segment plan of a uniform workload: `compiled` (compiled from
+/// `workload`, which the plan copies) runs every query under its own id.
+std::shared_ptr<const MultiEnginePlan> UniformPlan(
+    const Workload& workload, CompiledPlanHandle compiled);
 
 /// Partitions `workload` into uniform segments by (window, partition
 /// attribute) and optimizes each with `cost_model` (Sharon optimizer,
@@ -58,7 +82,7 @@ std::shared_ptr<const MultiEnginePlan> PlanMultiEngine(
     const Workload& workload, const CostModel& cost_model,
     const OptimizerConfig& config = {});
 
-/// Executes a non-uniform workload as independent uniform segments.
+/// Executes a workload as independent uniform segments.
 class MultiEngine {
  public:
   /// Plans and instantiates in one step (single-instance convenience).
@@ -78,7 +102,9 @@ class MultiEngine {
   /// Total number of shared counters across segments.
   size_t num_shared_counters() const;
 
-  void OnEvent(const Event& e);
+  void OnEvent(const Event& e) {
+    for (auto& engine : engines_) engine->OnEvent(e);
+  }
   RunStats Run(const std::vector<Event>& events, Duration duration);
 
   // --- bounded-disorder ingestion (src/common/watermark.h) --------------
@@ -118,6 +144,11 @@ class MultiEngine {
                AggFunction fn) const;
   AggState Get(QueryId query, WindowId window, AttrValue group) const;
 
+  /// Visits every result cell of every segment, keyed by ORIGINAL query
+  /// ids. Iteration order is unspecified.
+  void ForEachCell(
+      const std::function<void(const ResultKey&, const AggState&)>& fn) const;
+
   /// Per-segment optimizer outcomes (for inspection).
   const std::vector<OptimizerResult>& plans() const { return plan_->plans; }
 
@@ -134,6 +165,14 @@ class MultiEngine {
   /// normal execution goes through OnEvent.
   Engine* mutable_segment_engine(size_t segment) {
     return engines_[segment].get();
+  }
+
+  /// Installs `next` as segment `segment`'s engine and returns the engine
+  /// it replaces (plan hot-swap retirement).
+  std::unique_ptr<Engine> ReplaceSegmentEngine(size_t segment,
+                                               std::unique_ptr<Engine> next) {
+    engines_[segment].swap(next);
+    return next;
   }
 
   size_t EstimatedBytes() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 namespace sharon {
 
@@ -46,6 +47,8 @@ SharonGraph SharonGraph::Build(const Workload& workload,
   SharonGraph g;
   // Alg. 1 lines 2-5: beneficial candidates only.
   QueryId max_query = 0;
+  g.cands_.reserve(candidates.size());
+  g.weights_.reserve(candidates.size());
   for (const Candidate& c : candidates) {
     if (c.queries.size() < 2) continue;
     double w = weight(c);
@@ -90,7 +93,10 @@ SharonGraph SharonGraph::Build(const Workload& workload,
     }
   }
   // Group pairs in ascending order and vertex pairs in ascending order
-  // within them, so every adjacency list comes out sorted.
+  // within them, so every adjacency list comes out sorted. Edges are
+  // collected flat first, so each list is allocated once at its degree.
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::vector<uint32_t> degree(n, 0);
   for (size_t a = 0; a < groups; ++a) {
     const Pattern& pa = g.cands_[starts[a]].pattern;
     const uint64_t* ua = group_bits + a * words;
@@ -117,12 +123,18 @@ SharonGraph SharonGraph::Build(const Workload& workload,
         for (VertexId j = a == b ? i + 1 : starts[b]; j < starts[b + 1];
              ++j) {
           if (Meet(qi, vertex_bits + j * words, overlap, words)) {
-            g.adj_[i].push_back(j);
-            g.adj_[j].push_back(i);
+            edges.emplace_back(i, j);
+            ++degree[i];
+            ++degree[j];
           }
         }
       }
     }
+  }
+  for (VertexId v = 0; v < n; ++v) g.adj_[v].reserve(degree[v]);
+  for (const auto& [i, j] : edges) {
+    g.adj_[i].push_back(j);
+    g.adj_[j].push_back(i);
   }
   return g;
 }

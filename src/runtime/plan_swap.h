@@ -93,7 +93,7 @@ inline bool IsControlMarker(const Event& e) {
 enum class OpRefusal : uint8_t {
   kNone = 0,                ///< accepted
   kNotRunning = 1,          ///< runtime failed to construct or already finished
-  kNotUniform = 2,          ///< operation requires uniform-Engine shards
+  kNotUniform = 2,          ///< runtime built from a MultiEnginePlan
   kNoDisorderPolicy = 3,    ///< operation requires watermarks
   // 4 is retired: it refused multi-producer cuts before markers aligned
   // per channel.

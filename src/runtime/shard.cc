@@ -24,20 +24,6 @@ std::vector<std::unique_ptr<BatchChannel>> MakeChannels(
 
 }  // namespace
 
-Shard::Shard(size_t index, const Workload& workload,
-             CompiledPlanHandle compiled, const RuntimeOptions& options)
-    : index_(index),
-      channels_(MakeChannels(options)),
-      channel_frontier_(channels_.size(), kNoWatermark),
-      marker_seen_(channels_.size(), 0),
-      held_(channels_.size()),
-      engine_(std::make_unique<Engine>(workload, std::move(compiled))),
-      engine_mode_(true),
-      disorder_(options.disorder) {
-  if (!engine_->ok()) error_ = engine_->error();
-  if (options.disorder.enabled) engine_->SetDisorderPolicy(options.disorder);
-}
-
 Shard::Shard(size_t index, std::shared_ptr<const MultiEnginePlan> plan,
              const RuntimeOptions& options)
     : index_(index),
@@ -45,12 +31,11 @@ Shard::Shard(size_t index, std::shared_ptr<const MultiEnginePlan> plan,
       channel_frontier_(channels_.size(), kNoWatermark),
       marker_seen_(channels_.size(), 0),
       held_(channels_.size()),
-      multi_(std::make_unique<MultiEngine>(std::move(plan))),
-      engine_mode_(false),
+      executor_(std::move(plan)),
       disorder_(options.disorder) {
-  if (!multi_->ok()) error_ = multi_->error();
-  if (multi_->ok() && options.disorder.enabled) {
-    multi_->SetDisorderPolicy(options.disorder);
+  if (!executor_.ok()) error_ = executor_.error();
+  if (executor_.ok() && options.disorder.enabled) {
+    executor_.SetDisorderPolicy(options.disorder);
   }
 }
 
@@ -84,11 +69,7 @@ void Shard::MergeWatermark(size_t p, Timestamp t) {
     // Publish before applying so a reader never observes a finalized
     // window whose shard watermark it cannot see.
     watermark_.store(merged, std::memory_order_release);
-    if (engine_) {
-      ApplyWatermark(merged);
-    } else {
-      multi_->OnEvent(WatermarkEvent(merged));
-    }
+    ApplyWatermark(merged);
     return;
   }
   if (channel_regression && merged_watermark_ != kNoWatermark &&
@@ -102,11 +83,7 @@ void Shard::MergeWatermark(size_t p, Timestamp t) {
     // would advance past ticks those producers have not vouched for.
     // Punctuations that advance their own frontier but not the merged
     // minimum are likewise folded silently.
-    if (engine_) {
-      ApplyWatermark(t);
-    } else {
-      multi_->OnEvent(WatermarkEvent(t));
-    }
+    ApplyWatermark(t);
   }
 }
 
@@ -145,12 +122,8 @@ void Shard::HandleEvent(const Event& e, size_t p) {
     return;
   }
   ++batch_data_events_;
-  if (!engine_) {
-    multi_->OnEvent(e);
-    return;
-  }
   if (!swap_active_) {
-    engine_->OnEvent(e);
+    executor_.OnEvent(e);
     return;
   }
   // Dual run: the old engine owns windows closing <= boundary (events
@@ -159,7 +132,7 @@ void Shard::HandleEvent(const Event& e, size_t p) {
   // both — each window still sees its events exactly once per engine.
   const bool to_old = e.time < swap_.boundary;
   const bool to_new = e.time >= tee_from_;
-  if (to_old) engine_->OnEvent(e);
+  if (to_old) executor_.OnEvent(e);
   if (to_new) next_engine_->OnEvent(e);
   if (to_old && to_new) ++swap_record_.teed_events;
 }
@@ -204,15 +177,17 @@ void Shard::OnControlMarker(const Event& e, size_t p) {
 }
 
 void Shard::BeginSwap(ControlCommand cmd) {
-  // Stage admits a swap only on an Engine shard with a disorder policy,
+  // Stage admits a swap only on a uniform plan with a disorder policy,
   // and only into an empty slot — so no earlier swap is still active.
-  assert(engine_ && disorder_.enabled && !swap_active_ && cmd.plan);
+  assert(executor_.plan()->uniform() && disorder_.enabled && !swap_active_ &&
+         cmd.plan);
   swap_ = std::move(cmd);
-  const WindowSpec& window = engine_->compiled().window;
+  const Engine& current = *executor_.engines().front();
+  const WindowSpec& window = current.compiled().window;
   tee_from_ = window.Valid()
                   ? swap_.boundary + window.slide - window.length
                   : swap_.boundary;
-  next_engine_ = std::make_unique<Engine>(engine_->workload(), swap_.plan);
+  next_engine_ = std::make_unique<Engine>(current.workload(), swap_.plan);
   next_engine_->SetDisorderPolicy(disorder_);
   next_engine_->SetResultsFloor(swap_.boundary);
   next_engine_->SetObservability(obs_engine_);
@@ -230,18 +205,18 @@ void Shard::BeginSwap(ControlCommand cmd) {
 
 void Shard::ApplyWatermark(Timestamp t) {
   if (!swap_active_) {
-    engine_->AdvanceWatermark(t);
+    executor_.AdvanceWatermark(t);
     return;
   }
   // The old engine's watermark is capped so its safe point never passes
   // the boundary: it finalizes exactly the windows it owns, and the
   // windows it does not own stay staged (discarded at retirement).
   const Timestamp cap = SwapWatermarkCap();
-  engine_->AdvanceWatermark(std::min(t, cap));
+  executor_.AdvanceWatermark(std::min(t, cap));
   next_engine_->AdvanceWatermark(t);
   swap_record_.peak_dual_bytes =
       std::max(swap_record_.peak_dual_bytes,
-               engine_->EstimatedBytes() + next_engine_->EstimatedBytes());
+               executor_.EstimatedBytes() + next_engine_->EstimatedBytes());
   // Once the uncapped watermark implies safe point >= boundary, every
   // window the old engine owns is finalized — hand off.
   if (t >= cap) RetireOldEngine();
@@ -249,21 +224,21 @@ void Shard::ApplyWatermark(Timestamp t) {
 
 void Shard::RetireOldEngine() {
   swap_record_.dual_run_seconds = swap_watch_.ElapsedSeconds();
+  const std::unique_ptr<Engine> old =
+      executor_.ReplaceSegmentEngine(0, std::move(next_engine_));
   retired_peak_bytes_ = std::max(
-      retired_peak_bytes_,
-      std::max(engine_->peak_bytes(), engine_->EstimatedBytes()));
+      retired_peak_bytes_, std::max(old->peak_bytes(), old->EstimatedBytes()));
   // Fold the retiring engine's counters (its watermark/safe point are
   // frozen at the cap and would poison a MIN-rollup; counters are sums).
-  retired_wm_.MergeCountersFrom(engine_->watermark_stats());
+  retired_wm_.MergeCountersFrom(old->watermark_stats());
   // Drain the finalized results (windows closing <= boundary, complete
   // and immutable) into the shard archive; staged cells of windows the
   // new engine owns die with the old engine.
-  engine_->mutable_results().ExtractWindowsBefore(
+  old->mutable_results().ExtractWindowsBefore(
       std::numeric_limits<WindowId>::max(), archived_);
-  engine_ = std::move(next_engine_);
   swap_active_ = false;
   swap_record_.post_swap_bytes =
-      engine_->EstimatedBytes() + archived_.EstimatedBytes();
+      executor_.EstimatedBytes() + archived_.EstimatedBytes();
   swap_records_.push_back(swap_record_);
   if (obs_cells_ && obs_cells_->swaps_retired) obs_cells_->swaps_retired->Inc();
   if (obs_ring_) {
@@ -277,7 +252,7 @@ void Shard::RetireOldEngine() {
 bool Shard::Stage(const ControlCommand& cmd) {
   if (in_flight() != ControlKind::kNone) return false;
   if (cmd.kind == ControlKind::kSwap &&
-      (!engine_mode_ || !disorder_.enabled || !cmd.plan)) {
+      (!executor_.plan()->uniform() || !disorder_.enabled || !cmd.plan)) {
     return false;
   }
   {
@@ -319,8 +294,7 @@ void Shard::WriteCheckpoint(const ControlCommand& cmd) {
   in.shard_index = index_;
   in.num_shards = cmd.num_shards;
   in.merged_watermark = merged_watermark_;
-  in.engine = engine_.get();
-  in.multi = multi_.get();
+  in.executor = &executor_;
   in.archive = &archived_;
   in.retired = &retired_wm_;
   const std::vector<uint8_t> bytes = checkpoint::EncodeShardCheckpoint(in);
@@ -394,116 +368,80 @@ void Shard::WorkerLoop() {
 }
 
 AggState Shard::Get(QueryId query, WindowId window, AttrValue group) const {
-  if (engine_) {
-    // A cell lives in exactly one store: retired engines archived their
-    // windows (closing <= their boundary); the current engine owns the
-    // rest. Probe the archive by key so a legitimately zero-valued
-    // archived cell is not shadowed by the current engine's Zero().
-    if (const AggState* cell =
-            archived_.FindCell(query, window, group)) {
-      return *cell;
-    }
-    AggState state = engine_->results().Get(query, window, group);
-    // A swap stalled at shutdown leaves the incoming engine holding the
-    // finalized cells of its windows — the same cells ForEachCell
-    // enumerates, so Get must see them too.
-    if (state.IsZero() && swap_active_ && next_engine_) {
-      state = next_engine_->results().Get(query, window, group);
-    }
-    return state;
+  // A cell lives in exactly one store: retired engines archived their
+  // windows (closing <= their boundary); the current executor owns the
+  // rest. Probe the archive by key so a legitimately zero-valued archived
+  // cell is not shadowed by the current engine's Zero().
+  if (const AggState* cell = archived_.FindCell(query, window, group)) {
+    return *cell;
   }
-  return multi_->Get(query, window, group);
+  AggState state = executor_.Get(query, window, group);
+  // A swap stalled at shutdown leaves the incoming engine holding the
+  // finalized cells of its windows — the same cells ForEachCell
+  // enumerates, so Get must see them too. Only a uniform plan swaps, and
+  // its ids are the original ids.
+  if (state.IsZero() && swap_active_) {
+    state = next_engine_->results().Get(query, window, group);
+  }
+  return state;
 }
 
 void Shard::ForEachCell(
     const std::function<void(const ResultKey&, const AggState&)>& fn) const {
-  if (engine_) {
-    archived_.ForEachCell(fn);
-    engine_->results().ForEachCell(fn);
-    // A swap that never completed (stalled watermark at shutdown) leaves
-    // the incoming engine holding finalized cells of its own windows.
-    if (swap_active_ && next_engine_) {
-      next_engine_->results().ForEachCell(fn);
-    }
-    return;
-  }
-  const MultiEnginePlan& plan = *multi_->plan();
-  for (size_t s = 0; s < multi_->engines().size(); ++s) {
-    const std::vector<QueryId>& originals = plan.segments[s].original_ids;
-    multi_->engines()[s]->results().ForEachCell(
-        [&](const ResultKey& key, const AggState& state) {
-          ResultKey remapped = key;
-          remapped.query = originals.at(key.query);
-          fn(remapped, state);
-        });
-  }
+  archived_.ForEachCell(fn);
+  executor_.ForEachCell(fn);
+  // A swap that never completed (stalled watermark at shutdown) leaves
+  // the incoming engine holding finalized cells of its own windows.
+  if (swap_active_) next_engine_->results().ForEachCell(fn);
 }
 
 size_t Shard::NumCells() const {
-  if (engine_) {
-    size_t n = archived_.size() + engine_->results().size();
-    if (swap_active_ && next_engine_) n += next_engine_->results().size();
-    return n;
-  }
-  size_t n = 0;
-  for (const auto& e : multi_->engines()) n += e->results().size();
+  size_t n = archived_.size();
+  for (const auto& e : executor_.engines()) n += e->results().size();
+  if (swap_active_) n += next_engine_->results().size();
   return n;
 }
 
 size_t Shard::EstimatedBytes() const {
-  if (engine_) {
-    size_t n = engine_->EstimatedBytes() + archived_.EstimatedBytes();
-    if (swap_active_ && next_engine_) n += next_engine_->EstimatedBytes();
-    return n;
-  }
-  return multi_->EstimatedBytes();
+  size_t n = executor_.EstimatedBytes() + archived_.EstimatedBytes();
+  if (swap_active_) n += next_engine_->EstimatedBytes();
+  return n;
 }
 
 size_t Shard::PeakBytes() const {
   // Engine's meter is updated at sweep time; fold in the current figure
   // the way Engine::Run's final Set() would.
-  auto peak_of = [](const Engine& e) {
-    return std::max(e.peak_bytes(), e.EstimatedBytes());
-  };
-  if (engine_) {
-    size_t peak = peak_of(*engine_) + archived_.EstimatedBytes();
-    peak = std::max(peak, retired_peak_bytes_);
-    for (const ShardSwapRecord& r : swap_records_) {
-      peak = std::max(peak, r.peak_dual_bytes);
-    }
-    return peak;
+  size_t peak = archived_.EstimatedBytes();
+  for (const auto& e : executor_.engines()) {
+    peak += std::max(e->peak_bytes(), e->EstimatedBytes());
   }
-  size_t n = 0;
-  for (const auto& e : multi_->engines()) n += peak_of(*e);
-  return n;
+  peak = std::max(peak, retired_peak_bytes_);
+  for (const ShardSwapRecord& r : swap_records_) {
+    peak = std::max(peak, r.peak_dual_bytes);
+  }
+  return peak;
 }
 
 size_t Shard::num_shared_counters() const {
-  return engine_ ? engine_->num_shared_counters()
-                 : multi_->num_shared_counters();
+  return executor_.num_shared_counters();
 }
 
 WatermarkStats Shard::watermark_stats() const {
-  if (!engine_) return multi_->watermark_stats();
-  // Watermark/safe point come from the CURRENT engine (retired engines
+  // Watermark/safe point come from the CURRENT engines (retired engines
   // were deliberately capped at their swap boundary); counters sum over
   // every engine this shard ever ran.
-  WatermarkStats out = engine_->watermark_stats();
+  WatermarkStats out = executor_.watermark_stats();
   out.MergeCountersFrom(retired_wm_);
   return out;
 }
 
 bool Shard::Finalized(QueryId query, WindowId window) const {
-  return engine_ ? engine_->Finalized(window)
-                 : multi_->Finalized(query, window);
+  return executor_.Finalized(query, window);
 }
 
 LiveState Shard::LiveStateSnapshot() const {
-  if (!engine_) return multi_->LiveStateSnapshot();
-  LiveState live = engine_->LiveStateSnapshot();
-  if (swap_active_ && next_engine_) {
-    live.MergeFrom(next_engine_->LiveStateSnapshot());
-  }
+  LiveState live = executor_.LiveStateSnapshot();
+  if (swap_active_) live.MergeFrom(next_engine_->LiveStateSnapshot());
   return live;
 }
 

@@ -1,7 +1,7 @@
 // One shard of the sharded runtime: a worker thread that owns a private
-// executor (Engine for uniform workloads, MultiEngine for non-uniform
-// ones) and drains event batches from bounded SPSC channels — one per
-// ingest partition, so any number of producer threads feed the shard
+// MultiEngine (one segment for a uniform workload, one per uniform segment
+// otherwise) and drains event batches from bounded SPSC channels — one
+// per ingest partition, so any number of producer threads feed the shard
 // without sharing a queue.
 //
 // Each channel is a PAIR of rings: `full` carries filled batches from
@@ -39,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/exec/engine.h"
 #include "src/exec/multi_engine.h"
 #include "src/runtime/plan_swap.h"
 #include "src/runtime/runtime_stats.h"
@@ -71,13 +70,8 @@ struct BatchChannel {
 /// producer thread, then SignalDone() + Join() before reading results.
 class Shard {
  public:
-  /// Uniform-workload shard: instantiates an Engine from a shared
-  /// compiled plan (one compile pass for all shards).
-  Shard(size_t index, const Workload& workload, CompiledPlanHandle compiled,
-        const RuntimeOptions& options);
-
-  /// Non-uniform-workload shard: instantiates a MultiEngine from a shared
-  /// multi-engine plan (one optimizer pass for all shards).
+  /// Instantiates the shard's MultiEngine from a plan shared by all
+  /// shards (one planning pass; a uniform workload is a UniformPlan).
   Shard(size_t index, std::shared_ptr<const MultiEnginePlan> plan,
         const RuntimeOptions& options);
 
@@ -103,8 +97,7 @@ class Shard {
     obs_engine_ = eo;
     obs_cells_ = cells;
     obs_ring_ = ring;
-    if (engine_) engine_->SetObservability(eo);
-    if (multi_) multi_->SetObservability(eo);
+    executor_.SetObservability(eo);
   }
 
   /// The channel of ingest partition `p` (stable address; the partition
@@ -119,7 +112,7 @@ class Shard {
   /// next in-band control marker (src/runtime/plan_swap.h). Must be
   /// followed by a marker broadcast ordered after it. False while the
   /// slot is taken — one swap or checkpoint at a time — or for a swap
-  /// this shard cannot run (MultiEngine mode, no disorder policy, null
+  /// this shard cannot run (plan not uniform, no disorder policy, null
   /// plan).
   bool Stage(const ControlCommand& cmd);
 
@@ -193,8 +186,9 @@ class Shard {
 
   size_t NumCells() const;
   size_t EstimatedBytes() const;
-  /// Peak logical state bytes (Engine::peak_bytes convention). Includes
-  /// retired pre-swap engines and the dual-run overlap.
+  /// Peak logical state bytes (Engine::peak_bytes convention, summed over
+  /// segments). Includes retired pre-swap engines and the dual-run
+  /// overlap.
   size_t PeakBytes() const;
   size_t num_shared_counters() const;
 
@@ -203,17 +197,11 @@ class Shard {
     return swap_records_;
   }
 
-  /// The underlying executors (exactly one is non-null). engine() is the
-  /// CURRENT engine after any swaps.
-  const Engine* engine() const { return engine_.get(); }
-  const MultiEngine* multi() const { return multi_.get(); }
-
   // --- checkpoint restore hooks (pre-Start only) ------------------------
   // Used exclusively by ShardedRuntime::Restore before the worker thread
   // exists, so none of them synchronize.
 
-  Engine* restore_engine() { return engine_.get(); }
-  MultiEngine* restore_multi() { return multi_.get(); }
+  MultiEngine& restore_executor() { return executor_; }
   ResultCollector& restore_archive() { return archived_; }
   void RestoreRetiredCounters(const WatermarkStats& wm) {
     retired_wm_.MergeCountersFrom(wm);
@@ -243,6 +231,7 @@ class Shard {
   void MergeWatermark(size_t p, Timestamp t);
 
   // --- plan hot-swap (worker thread only; see plan_swap.h) -------------
+  // A swap replaces segment 0, the one segment of a uniform plan.
   void BeginSwap(ControlCommand cmd);
   void ApplyWatermark(Timestamp t);
   void RetireOldEngine();
@@ -267,12 +256,9 @@ class Shard {
   size_t markers_seen_ = 0;
   std::vector<EventBatch> held_;
   uint64_t batch_data_events_ = 0;  ///< data events of the batch in Process
-  std::unique_ptr<Engine> engine_;
-  std::unique_ptr<MultiEngine> multi_;
-  /// Set at construction, never changes: lets the producer thread test
-  /// the executor mode without touching engine_ (which the worker
-  /// reassigns at swap retirement).
-  const bool engine_mode_;
+  /// The worker's executor. Its plan() never changes, so the producer
+  /// thread may read it in Stage; swap retirement replaces segment 0.
+  MultiEngine executor_;
   std::thread thread_;
   std::atomic<bool> done_{false};
   std::atomic<Timestamp> watermark_{kNoWatermark};

@@ -127,13 +127,9 @@ ShardedRuntime::ShardedRuntime(const Workload& workload,
                                const SharingPlan& plan,
                                const RuntimeOptions& options)
     : options_(options) {
-  if (workload.empty()) {
-    error_ = "empty workload";
-    return;
-  }
-  workload_size_ = workload.size();
-  workload_ = &workload;
-  InitShardsUniform(workload, plan);
+  if (!ValidateForSharding(workload)) return;
+  CompiledPlanHandle compiled = CompilePlanShared(workload, plan, &error_);
+  if (compiled) InitShards(UniformPlan(workload, std::move(compiled)));
 }
 
 ShardedRuntime::ShardedRuntime(const Workload& workload,
@@ -144,15 +140,14 @@ ShardedRuntime::ShardedRuntime(const Workload& workload,
   // Validate before PlanMultiEngine: planning runs the optimizer per
   // segment, far too expensive to spend on a workload we then reject.
   if (!ValidateForSharding(workload)) return;
-  InitShardsMulti(workload, PlanMultiEngine(workload, cost_model, config));
+  InitShards(PlanMultiEngine(workload, cost_model, config));
 }
 
 ShardedRuntime::ShardedRuntime(const Workload& workload,
                                std::shared_ptr<const MultiEnginePlan> plan,
                                const RuntimeOptions& options)
     : options_(options) {
-  if (!ValidateForSharding(workload)) return;
-  InitShardsMulti(workload, std::move(plan));
+  if (ValidateForSharding(workload)) InitShards(std::move(plan));
 }
 
 bool ShardedRuntime::ValidateForSharding(const Workload& workload) {
@@ -196,39 +191,16 @@ bool ShardedRuntime::InitIngest() {
   return true;
 }
 
-void ShardedRuntime::InitShardsUniform(const Workload& workload,
-                                       const SharingPlan& plan) {
-  CompiledPlanHandle compiled = CompilePlanShared(workload, plan, &error_);
-  if (!compiled) return;
-  compiled_ = compiled;
-  partition_ = compiled->partition;
-  window_ = compiled->window;
-  const size_t n = options_.ResolvedShards();
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, workload, compiled, options_));
-    if (!shards_.back()->ok()) {
-      error_ = shards_.back()->error();
-      return;
-    }
-  }
-  if (!InitIngest()) return;
-  InitTelemetry();
-  merger_ = ResultMerger(&shards_, partition_);
-}
-
-void ShardedRuntime::InitShardsMulti(
-    const Workload& workload, std::shared_ptr<const MultiEnginePlan> plan) {
-  (void)workload;
+void ShardedRuntime::InitShards(std::shared_ptr<const MultiEnginePlan> plan) {
   if (!plan || !plan->ok()) {
     error_ = plan ? plan->error : "null multi-engine plan";
     return;
   }
-  multi_plan_ = plan;
+  plan_ = std::move(plan);
   const size_t n = options_.ResolvedShards();
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, plan, options_));
+    shards_.push_back(std::make_unique<Shard>(i, plan_, options_));
     if (!shards_.back()->ok()) {
       error_ = shards_.back()->error();
       return;
@@ -283,11 +255,11 @@ ShardedRuntime::SwapRequest ShardedRuntime::RequestPlanSwap(
   if (!ok() || finished_) {
     return Refuse(kSwap, OpRefusal::kNotRunning, "runtime not running");
   }
-  if (!workload_) {
+  if (!plan_->uniform()) {
     return Refuse(
         kSwap, OpRefusal::kNotUniform,
-        "plan swap requires the uniform-workload runtime (MultiEngine "
-        "shards re-plan per segment; rebuild the runtime instead)");
+        "plan swap requires a runtime built from a sharing plan (a "
+        "MultiEnginePlan re-plans per segment; rebuild the runtime instead)");
   }
   if (!options_.disorder.enabled) {
     return Refuse(
@@ -296,7 +268,9 @@ ShardedRuntime::SwapRequest ShardedRuntime::RequestPlanSwap(
         "and retire the old engines");
   }
   if (!plan) return Refuse(kSwap, OpRefusal::kBadPlan, "null compiled plan");
-  if (plan->partition != partition_ || !(plan->window == window_)) {
+  const MultiEnginePlan::Segment& incumbent = plan_->segments.front();
+  if (plan->partition != partition_ ||
+      !(plan->window == incumbent.compiled->window)) {
     return Refuse(kSwap, OpRefusal::kBadPlan,
                   "new plan was compiled for a different workload");
   }
@@ -307,9 +281,12 @@ ShardedRuntime::SwapRequest ShardedRuntime::RequestPlanSwap(
   const SwapRequest req = StageControl(cmd);
   // The accepted plan is the incumbent from here on. A checkpoint is only
   // allowed once no swap is in flight — i.e. once every shard runs THIS
-  // plan — so the handle recorded for the checkpoint fingerprint must
-  // follow the swap, not stay at the constructor plan.
-  if (req.accepted) compiled_ = std::move(cmd.plan);
+  // plan — so the plan the checkpoint fingerprints must follow the swap,
+  // not stay at the constructor plan. (The segment keeps its workload
+  // copy: engines read it only for Run's per-query event count.)
+  if (req.accepted) {
+    plan_ = UniformPlan(incumbent.workload, std::move(cmd.plan));
+  }
   return req;
 }
 
@@ -395,11 +372,12 @@ ShardedRuntime::ControlRequest ShardedRuntime::StageControl(
   // routed so far has time <= that high-mark, and the first window
   // closing after B starts at B + slide - length > high-mark — so no
   // event of a new-plan window has been routed yet, and the overlap tee
-  // (shard.cc) sees all of them. MultiEngine workloads have several
-  // grids; their checkpoints record the high-mark itself.
+  // (shard.cc) sees all of them. A MultiEnginePlan's segments may have
+  // several grids; its checkpoints record the high-mark itself.
   const Timestamp high_mark = IngestHighMark();
-  cmd.boundary = workload_ && window_.Valid()
-                     ? window_.WindowEnd(window_.LastWindowCovering(high_mark))
+  const WindowSpec& window = plan_->segments.front().compiled->window;
+  cmd.boundary = plan_->uniform() && window.Valid()
+                     ? window.WindowEnd(window.LastWindowCovering(high_mark))
                      : high_mark;
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (!shards_[i]->Stage(cmd)) {
@@ -412,14 +390,8 @@ ShardedRuntime::ControlRequest ShardedRuntime::StageControl(
                     "shard refused the staged command");
     }
   }
-  // In-band markers, ordered after everything ingested so far — same
-  // broadcast as watermarks, through EVERY partition's channels. Each
-  // shard runs the command only once the marker of every channel arrived
-  // (Shard::OnControlMarker), so the cut is ordered after everything
-  // every producer routed. The caller must have externally synchronized
-  // with all producer threads (see the header contract).
-  const Event marker = ControlMarkerEvent();
-  for (auto& partition : partitions_) partition->Broadcast(marker);
+  // The request is traced before its markers leave: a worker may pick a
+  // marker up (and trace its side of the op) as soon as it is pushed.
   if (telemetry_) {
     obs::ControlCells& cc = telemetry_->control_cells();
     obs::TraceRing* ring = telemetry_->control_ring();
@@ -437,6 +409,14 @@ ShardedRuntime::ControlRequest ShardedRuntime::StageControl(
       }
     }
   }
+  // In-band markers, ordered after everything ingested so far — same
+  // broadcast as watermarks, through EVERY partition's channels. Each
+  // shard runs the command only once the marker of every channel arrived
+  // (Shard::OnControlMarker), so the cut is ordered after everything
+  // every producer routed. The caller must have externally synchronized
+  // with all producer threads (see the header contract).
+  const Event marker = ControlMarkerEvent();
+  for (auto& partition : partitions_) partition->Broadcast(marker);
   ControlRequest req;
   req.accepted = true;
   req.id = cmd.id;
@@ -513,13 +493,10 @@ ShardedRuntime::CheckpointResult ShardedRuntime::FinalizeCheckpoint() {
   checkpoint::Manifest m;
   m.checkpoint_id = res.id;
   m.boundary = res.boundary;
-  m.mode = workload_ ? 1 : 2;
   m.num_shards = shards_.size();
-  m.num_segments =
-      workload_ ? 1 : shards_.front()->multi()->engines().size();
+  m.num_segments = plan_->segments.size();
   m.partition = partition_;
-  m.plan_fingerprint = workload_ ? checkpoint::PlanFingerprint(*compiled_)
-                                 : checkpoint::PlanFingerprint(*multi_plan_);
+  m.plan_fingerprint = checkpoint::PlanFingerprint(*plan_);
   m.disorder = options_.disorder;
   m.merged_watermark = merged == kWatermarkMax ? kNoWatermark : merged;
   m.ingest_high_mark = checkpoint_job_->high_mark_at_cut;
@@ -587,29 +564,15 @@ ShardedRuntime::RestoreOutcome ShardedRuntime::Restore(
   // late and when windows seal); restoring under a different one would
   // silently change results.
   ropts.disorder = m.disorder;
-  std::unique_ptr<ShardedRuntime> rt;
-  if (m.mode == 1) {
-    rt.reset(new ShardedRuntime(*opts.workload, opts.plan, ropts));
-  } else if (m.mode == 2) {
-    if (!opts.multi_plan) {
-      out.error =
-          "checkpoint holds MultiEngine shards: RestoreOptions::multi_plan "
-          "is required";
-      return out;
-    }
-    rt.reset(new ShardedRuntime(*opts.workload, opts.multi_plan, ropts));
-  } else {
-    out.error = "unknown executor mode in manifest";
-    return out;
-  }
+  std::unique_ptr<ShardedRuntime> rt(
+      opts.multi_plan
+          ? new ShardedRuntime(*opts.workload, opts.multi_plan, ropts)
+          : new ShardedRuntime(*opts.workload, opts.plan, ropts));
   if (!rt->ok()) {
     out.error = rt->error();
     return out;
   }
-  const uint64_t fingerprint =
-      m.mode == 1 ? checkpoint::PlanFingerprint(*rt->compiled_)
-                  : checkpoint::PlanFingerprint(*rt->multi_plan_);
-  if (fingerprint != m.plan_fingerprint) {
+  if (checkpoint::PlanFingerprint(*rt->plan_) != m.plan_fingerprint) {
     out.error =
         "plan fingerprint mismatch: the supplied workload/plan compiles to "
         "different executor templates than the checkpointed ones";
@@ -620,10 +583,8 @@ ShardedRuntime::RestoreOutcome ShardedRuntime::Restore(
   const bool same_topology = new_shards == m.num_shards;
 
   // The engine of (new shard j, segment s).
-  auto engine_of = [&](size_t j, size_t s) -> Engine* {
-    return m.mode == 1
-               ? rt->shards_[j]->restore_engine()
-               : rt->shards_[j]->restore_multi()->mutable_segment_engine(s);
+  auto engine_of = [&](size_t j, size_t s) {
+    return rt->shards_[j]->restore_executor().mutable_segment_engine(s);
   };
 
   // Pass 1: decode every old shard file (integrity-checked frame by
@@ -638,7 +599,6 @@ ShardedRuntime::RestoreOutcome ShardedRuntime::Restore(
     if (err.empty() && (data[i].shard_index != i ||
                         data[i].checkpoint_id != m.checkpoint_id ||
                         data[i].num_shards != m.num_shards ||
-                        data[i].mode != m.mode ||
                         data[i].segments.size() != num_segments)) {
       err = "shard header does not match the manifest";
     }

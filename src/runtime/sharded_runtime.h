@@ -4,12 +4,13 @@
 // attribute (§2.1 assumption 2), so groups are independent by
 // construction. The runtime exploits exactly that: incoming events are
 // hash-partitioned by group value across N worker shards, each owning a
-// private Engine (or MultiEngine for non-uniform workloads) instantiated
-// from ONE shared compiled plan. Batches travel through bounded SPSC ring
-// buffers; a full ring stalls the ingest thread (backpressure) rather
-// than growing memory without bound. Emptied batch buffers ride a free
-// ring back to the producer, so steady-state ingest allocates nothing
-// (DESIGN.md "Hot-path memory layout").
+// private MultiEngine instantiated from ONE shared plan — a uniform
+// workload is its one-segment plan (UniformPlan), a non-uniform one is
+// split into uniform segments (§7.2). Batches travel through bounded
+// SPSC ring buffers; a full ring stalls the ingest thread (backpressure)
+// rather than growing memory without bound. Emptied batch buffers ride a
+// free ring back to the producer, so steady-state ingest allocates
+// nothing (DESIGN.md "Hot-path memory layout").
 //
 // The ingest side itself shards: `options.ingest_partitions` creates N
 // independent producers (IngestPartition), each with a private channel
@@ -122,7 +123,8 @@ class IngestPartition {
 class ShardedRuntime {
  public:
   /// Uniform workload, explicit sharing plan (empty = A-Seq). The plan is
-  /// compiled once and shared by all shards.
+  /// compiled once into a one-segment UniformPlan shared by all shards;
+  /// only this constructor builds a runtime that can hot-swap its plan.
   explicit ShardedRuntime(const Workload& workload,
                           const SharingPlan& plan = {},
                           const RuntimeOptions& options = {});
@@ -212,7 +214,7 @@ class ShardedRuntime {
   /// driving all partitions satisfies this trivially).
   ///
   /// Refused (accepted=false), checked in this order, when: the runtime
-  /// failed or finished (kNotRunning), is not uniform-Engine mode
+  /// failed or finished (kNotRunning), was built from a MultiEnginePlan
   /// (kNotUniform), has no disorder policy (kNoDisorderPolicy — swaps
   /// need watermarks to drain the old engines), `plan` is null or foreign
   /// (kBadPlan), or a control op is in flight (kSwapInFlight,
@@ -291,8 +293,10 @@ class ShardedRuntime {
   struct RestoreOptions {
     RuntimeOptions runtime;
     const Workload* workload = nullptr;
-    SharingPlan plan;  ///< uniform mode: the incumbent plan at the cut
-    std::shared_ptr<const MultiEnginePlan> multi_plan;  ///< non-uniform mode
+    SharingPlan plan;  ///< the incumbent sharing plan at the cut
+    /// Set instead of `plan` when the checkpointed runtime was built from
+    /// a MultiEnginePlan.
+    std::shared_ptr<const MultiEnginePlan> multi_plan;
   };
 
   /// Outcome of Restore: a ready-to-ingest runtime (not yet started) or a
@@ -400,9 +404,9 @@ class ShardedRuntime {
   /// Validates ingest options (partitions > 1 need a disorder policy)
   /// and creates the partition handles; false on violation.
   bool InitIngest();
-  void InitShardsUniform(const Workload& workload, const SharingPlan& plan);
-  void InitShardsMulti(const Workload& workload,
-                       std::shared_ptr<const MultiEnginePlan> plan);
+  /// Builds one shard per options_ shard from `plan`, then ingest and
+  /// telemetry; sets error_ on a failed plan or shard.
+  void InitShards(std::shared_ptr<const MultiEnginePlan> plan);
   /// Builds the telemetry hub and hands every shard/partition its cells
   /// and ring (no-op when options_.obs is off). Runs after InitIngest.
   void InitTelemetry();
@@ -438,10 +442,9 @@ class ShardedRuntime {
   RuntimeOptions options_;
   AttrIndex partition_ = kNoAttr;
   size_t workload_size_ = 0;
-  const Workload* workload_ = nullptr;  ///< uniform ctor only (swap support)
-  WindowSpec window_;                   ///< uniform ctor only
-  CompiledPlanHandle compiled_;         ///< uniform ctor only (fingerprint)
-  std::shared_ptr<const MultiEnginePlan> multi_plan_;  ///< multi ctors only
+  /// The segments the shards run: a UniformPlan that follows accepted
+  /// swaps, or the MultiEnginePlan the runtime was built from.
+  std::shared_ptr<const MultiEnginePlan> plan_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<IngestPartition>> partitions_;
   /// Telemetry hub (src/obs/); null unless options_.obs enables it. Its

@@ -4,9 +4,10 @@
 //  - Checkpoint/RequestPlanSwap mutual exclusion, regression-tested in
 //    BOTH orders with the typed refusal codes (runtime::OpRefusal),
 //  - restore refusals: torn checkpoint (no manifest), corrupt shard file,
-//    plan-fingerprint mismatch, missing disorder policy,
+//    plan-fingerprint mismatch, format version 1, missing disorder policy,
 //  - multi-producer acceptance: a checkpoint cut with ingest_partitions=2
-//    (per-channel marker alignment) restores into a different topology.
+//    (per-channel marker alignment) restores into a different topology,
+//  - the swap rollup: suppressed cells reach the runtime's watermarks.
 // The end-to-end bit-identity matrix lives in checkpoint_diff_test.cc.
 
 #include <gtest/gtest.h>
@@ -357,6 +358,26 @@ TEST(CheckpointRefusal, VersionMismatchRefusesRestore) {
   std::filesystem::remove_all(dir);
 }
 
+// Version 1 carried an executor-mode byte in the manifest and in every
+// shard header; its directories are refused with the version diagnostic
+// rather than misread.
+TEST(CheckpointRefusal, FormatVersionOneRefusesRestore) {
+  CheckpointFixture f = MakeFixture();
+  const std::string dir = CheckpointPrefix(f, 1, 1500, "version_one");
+  const std::string manifest_path =
+      dir + "/" + checkpoint::kManifestFileName;
+  checkpoint::Manifest m;
+  ASSERT_EQ(checkpoint::LoadManifest(manifest_path, &m), "");
+  m.version = 1;
+  ASSERT_EQ(checkpoint::SaveManifest(m, manifest_path), "");
+
+  ShardedRuntime::RestoreOutcome restored = RestoreAt(f, dir, 1);
+  EXPECT_FALSE(restored.runtime);
+  EXPECT_NE(restored.error.find("file has v1"), std::string::npos)
+      << restored.error;
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CheckpointRefusal, TornCheckpointWithoutManifestRefusesRestore) {
   CheckpointFixture f = MakeFixture();
   const std::string dir = CheckpointPrefix(f, 2, 1500, "torn");
@@ -380,6 +401,27 @@ TEST(CheckpointRefusal, PlanFingerprintMismatchRefusesRestore) {
   EXPECT_NE(restored.error.find("fingerprint"), std::string::npos)
       << restored.error;
   std::filesystem::remove_all(dir);
+}
+
+// A swap's incoming engine discards its partial cells of the windows the
+// outgoing engine owns (its results floor). The runtime's watermark
+// rollup must count them, whichever executor shape the shard runs.
+TEST(PlanSwapRollup, SuppressedCellsReachRuntimeWatermarks) {
+  CheckpointFixture f = MakeFixture();
+  ShardedRuntime rt(f.workload, f.plan, FixtureOptions(2));
+  ASSERT_TRUE(rt.ok()) << rt.error();
+  std::string error;
+  CompiledPlanHandle handle = CompilePlanShared(f.workload, {}, &error);
+  ASSERT_TRUE(handle) << error;
+
+  rt.Start();
+  for (size_t i = 0; i < 1000; ++i) rt.Ingest(f.arrivals[i]);
+  const ShardedRuntime::SwapRequest swap = rt.RequestPlanSwap(handle);
+  ASSERT_TRUE(swap.accepted) << swap.reason;
+  for (size_t i = 1000; i < f.arrivals.size(); ++i) rt.Ingest(f.arrivals[i]);
+  rt.Finish();
+  ASSERT_EQ(rt.stats().CompletedSwaps(), 1u);
+  EXPECT_GT(rt.stats().Watermarks().suppressed_cells, 0u);
 }
 
 // The incumbent plan id survives a restart: a manager on the restored

@@ -19,9 +19,10 @@
 // finder (§6, Algorithms 3 and 4) keeps each lattice level in flat
 // buffers allocated once per call, so its allocations do not grow with
 // the plans it visits; the Def. 6 conflict test and the cost model's
-// benefit value allocate nothing; and candidate expansion (§7.1,
+// benefit value allocate nothing; candidate expansion (§7.1,
 // Algorithm 5) allocates per option it returns, not per query subset it
-// tries.
+// tries; and building the conflict graph (Algorithm 1) allocates per
+// vertex it keeps, not per edge it finds.
 
 #include <gtest/gtest.h>
 
@@ -256,6 +257,37 @@ TEST(ZeroAllocTest, ExpansionAllocatesPerOptionNotPerSubset) {
   ASSERT_GT(options, vertices.size());  // derived options, not only originals
   EXPECT_LT(delta.allocations, 16 * options)
       << delta.allocations << " allocations for " << options << " options";
+}
+
+TEST(ZeroAllocTest, GraphBuildAllocatesPerVertexNotPerEdge) {
+  const Workload w = PlannerWorkload();
+  const CostModel cm(TypeRates(std::vector<double>(24, 10.0)));
+  const SharonGraph::WeightFn weight = [&](const Candidate& c) {
+    return cm.BValue(c, w);
+  };
+  const SharonGraph g =
+      SharonGraph::Build(w, FindSharableCandidates(w), weight);
+  ExpansionOptions expansion;
+  expansion.max_options_per_candidate = 16;
+  std::vector<Candidate> options;
+  for (VertexId v : g.AliveVertices()) {
+    for (Candidate& c : ExpandCandidate(g, v, w, expansion)) {
+      options.push_back(std::move(c));
+    }
+  }
+
+  const auto before = alloc_stats::Snapshot();
+  const SharonGraph expanded = SharonGraph::Build(w, options, weight);
+  const auto delta = alloc_stats::Snapshot() - before;
+  const size_t kept = expanded.capacity();
+  // Far more edges than vertices, so growing lists edge by edge shows.
+  ASSERT_GT(expanded.num_edges(), 10 * kept);
+  // Each kept vertex copies its candidate (pattern and query list) and
+  // owns one adjacency list; the rest is a constant number of buffers.
+  EXPECT_LT(delta.allocations, 4 * kept)
+      << delta.allocations << " allocations for " << kept << " of "
+      << options.size() << " options and " << expanded.num_edges()
+      << " edges";
 }
 
 TEST(ZeroAllocTest, CostModelBValueIsAllocationFree) {
