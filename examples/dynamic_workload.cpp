@@ -5,9 +5,9 @@
 //
 // The loop (src/adaptive/plan_manager.h):
 //   RateMonitor epochs -> drift detection -> Reoptimize (re-cost the
-//   incumbent under fresh rates, GO, escalate to SO on a big gap) ->
-//   hysteresis -> ShardedRuntime::RequestPlanSwap at a watermark-aligned
-//   window boundary (src/runtime/plan_swap.h).
+//   incumbent under fresh rates, GO, and SO too when GO's graph has a
+//   conflict edge) -> hysteresis -> ShardedRuntime::RequestPlanSwap at a
+//   watermark-aligned window boundary (src/runtime/plan_swap.h).
 //
 // Note the drift scenario flips WHICH types are hot. A rate ramp that
 // scales every type together (e.g. the Linear Road ramp) never changes

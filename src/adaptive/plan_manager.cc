@@ -71,12 +71,7 @@ void PlanManager::EvaluateEpoch() {
     }
   };
 
-  ReoptimizeOptions ropts;
-  ropts.so_escalation_gap = options_.so_escalation_gap;
-  ropts.config = options_.optimizer;
-  CostModel cm(monitor_.CurrentRates());
-  last_reopt_ = Reoptimize(*workload_, cm, current_plan_, ropts);
-  stats_.planning_millis += last_reopt_.TotalMillis();
+  last_reopt_ = Replan();
   if (last_reopt_.escalated) ++stats_.escalations;
   stats_.last_current_score = last_reopt_.current_score;
   stats_.last_candidate_score = last_reopt_.chosen.score;
@@ -118,9 +113,6 @@ void PlanManager::EvaluateEpoch() {
   // A drift swap compiles from the same active mask as a churn swap, so
   // it realizes any pending churn at its boundary: commit the ops there.
   if (registry_) registry_->CommitPending(req.boundary);
-  // Drift invalidates every cluster weight at once (Eq. 8 is a pure
-  // function of rates) — the incremental optimizer's designed-for rebuild.
-  if (inc_) inc_->SetRates(monitor_.CurrentRates());
   monitor_.RebaseOnCurrent();
   decide(obs::ReoptOutcome::kSwapAccepted, last_reopt_.GainRatio());
 }
@@ -136,10 +128,7 @@ query::ChurnResult PlanManager::RegisterQuery(Query q) {
   query::ChurnResult r = registry_->Register(std::move(q));
   if (!r.accepted) return r;
   ++stats_.queries_registered;
-  EnsureIncremental();
-  sharing::UpdateSharingGraph(*inc_, query::ChurnOp::Kind::kRegister, r.id);
-  NoteChurn(obs::TraceKind::kQueryRegistered, r.id);
-  TryChurnSwap();
+  OnChurn(obs::TraceKind::kQueryRegistered, r.id);
   return r;
 }
 
@@ -150,10 +139,7 @@ query::ChurnResult PlanManager::RetireQuery(QueryId id) {
   query::ChurnResult r = registry_->Retire(id);
   if (!r.accepted) return r;
   ++stats_.queries_retired;
-  EnsureIncremental();
-  sharing::UpdateSharingGraph(*inc_, query::ChurnOp::Kind::kRetire, id);
-  NoteChurn(obs::TraceKind::kQueryRetired, id);
-  TryChurnSwap();
+  OnChurn(obs::TraceKind::kQueryRetired, id);
   return r;
 }
 
@@ -164,24 +150,19 @@ query::ChurnResult PlanManager::ReactivateQuery(QueryId id) {
   query::ChurnResult r = registry_->Reactivate(id);
   if (!r.accepted) return r;
   ++stats_.queries_registered;
-  EnsureIncremental();
-  sharing::UpdateSharingGraph(*inc_, query::ChurnOp::Kind::kRegister, id);
-  NoteChurn(obs::TraceKind::kQueryRegistered, id);
-  TryChurnSwap();
+  OnChurn(obs::TraceKind::kQueryRegistered, id);
   return r;
 }
 
-void PlanManager::EnsureIncremental() {
-  if (inc_) return;
-  // Before the first full estimation window the monitor reports zero
-  // rates; a zero-rate graph has no beneficial candidate, so the cold-
-  // start churn plan runs every query non-shared — correct, just unshared
-  // until drift planning (or SetRates on the next drift swap) kicks in.
-  inc_ = std::make_unique<sharing::IncrementalSharingOptimizer>(
-      workload_, CostModel(monitor_.CurrentRates()), options_.incremental);
+ReoptimizeResult PlanManager::Replan() {
+  ReoptimizeResult r =
+      Reoptimize(*workload_, CostModel(monitor_.CurrentRates()),
+                 current_plan_, options_.optimizer);
+  stats_.planning_millis += r.TotalMillis();
+  return r;
 }
 
-void PlanManager::NoteChurn(obs::TraceKind kind, QueryId id) {
+void PlanManager::OnChurn(obs::TraceKind kind, QueryId id) {
   obs::TraceRing* ring = runtime_ ? runtime_->control_trace() : nullptr;
   if (ring) {
     ring->Emit(kind, kNoWatermark, static_cast<int64_t>(id),
@@ -194,13 +175,15 @@ void PlanManager::NoteChurn(obs::TraceKind kind, QueryId id) {
                                  : tel->control_cells().queries_retired;
     if (cell) cell->Inc();
   }
+  churn_plan_ = Replan().chosen.plan;
+  TryChurnSwap();
 }
 
 void PlanManager::TryChurnSwap() {
-  if (!registry_ || !inc_ || registry_->pending().empty()) return;
+  if (!registry_ || registry_->pending().empty()) return;
   std::string error;
   CompiledPlanHandle compiled =
-      CompilePlanShared(*workload_, inc_->plan(), &error);
+      CompilePlanShared(*workload_, churn_plan_, &error);
   if (!compiled) {
     ++stats_.churn_swap_retries;
     last_churn_swap_ = {};
@@ -216,7 +199,7 @@ void PlanManager::TryChurnSwap() {
     return;
   }
   registry_->CommitPending(last_churn_swap_.boundary);
-  current_plan_ = inc_->plan();
+  current_plan_ = churn_plan_;
   incumbent_plan_id_ = last_churn_swap_.id;
   // The swapped-in plan stands for the current rates: measure drift from
   // here, exactly as after a drift-triggered swap.

@@ -8,8 +8,8 @@
 //
 //   RateMonitor      sliding per-type rate estimate + drift detection
 //        │ epoch cadence
-//   Reoptimize       re-cost incumbent under fresh rates, run GO,
-//        │           escalate to SO when the gap warrants it
+//   Reoptimize       re-cost incumbent under fresh rates, run GO, and
+//        │           SO too when GO's graph has a conflict edge
 //   hysteresis       swap only when the predicted relative gain clears
 //        │           a margin (re-planning is cheap, swapping is not:
 //        │           the dual-run overlap costs memory and CPU)
@@ -22,19 +22,20 @@
 // in-band watermark punctuation) through Ingest(). It is single-threaded
 // by construction — it runs on the ingest thread, the only thread allowed
 // to call ShardedRuntime::Ingest/RequestPlanSwap — so re-planning happens
-// inline between events. Keep optimizer limits sharp (the default SO
-// escalation config uses bench-grade limits) if ingest latency matters.
+// inline between events. Query churn re-plans with the same Reoptimize
+// pass over the changed active set, so one active set at one set of rates
+// gets one plan whichever trigger planned it. Keep optimizer limits sharp
+// (the default OptimizerConfig expands the graph) if ingest latency
+// matters: every drift evaluation and every churn call runs a full pass.
 
 #ifndef SHARON_ADAPTIVE_PLAN_MANAGER_H_
 #define SHARON_ADAPTIVE_PLAN_MANAGER_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "src/planner/optimizer.h"
 #include "src/query/registration.h"
 #include "src/runtime/sharded_runtime.h"
-#include "src/sharing/incremental.h"
 #include "src/streamgen/rate_monitor.h"
 
 namespace sharon::adaptive {
@@ -59,23 +60,16 @@ struct PlanManagerOptions {
   /// runtime does not thrash between near-equal plans.
   double hysteresis = 0.10;
 
-  /// GO -> SO escalation threshold (ReoptimizeOptions::so_escalation_gap).
-  double so_escalation_gap = 0.5;
-
-  /// Pipeline configuration for the SO escalation.
+  /// SO pipeline configuration of every Reoptimize pass, drift and churn.
   OptimizerConfig optimizer;
-
-  /// Knobs of the incremental churn optimizer (fallback threshold and the
-  /// per-cluster SO escalation pipeline).
-  sharing::IncrementalConfig incremental;
 };
 
 /// Counters of one adaptive run (monotone; inspect any time).
 struct PlanManagerStats {
   uint64_t epochs_seen = 0;        ///< epoch boundaries crossed
-  uint64_t evaluations = 0;        ///< re-optimization passes run
+  uint64_t evaluations = 0;        ///< drift re-optimization passes run
   uint64_t drift_detections = 0;   ///< evaluations triggered by drift
-  uint64_t escalations = 0;        ///< GO -> SO escalations
+  uint64_t escalations = 0;        ///< drift passes that ran SO
   uint64_t holds = 0;              ///< gain below hysteresis, kept plan
   uint64_t swaps_requested = 0;
   uint64_t swaps_accepted = 0;
@@ -86,7 +80,7 @@ struct PlanManagerStats {
   uint64_t churn_swap_retries = 0;  ///< churn swaps refused, left pending
   double last_current_score = 0;   ///< incumbent score at last evaluation
   double last_candidate_score = 0; ///< challenger score at last evaluation
-  double planning_millis = 0;      ///< total time spent in Reoptimize
+  double planning_millis = 0;      ///< Reoptimize time, drift and churn
 };
 
 /// Drives adaptive re-optimization of a uniform-workload ShardedRuntime.
@@ -129,27 +123,27 @@ class PlanManager {
   const PlanManagerStats& stats() const { return stats_; }
   const RateMonitor& monitor() const { return monitor_; }
 
-  /// Outcome of the most recent Reoptimize pass (phase stats included).
+  /// Outcome of the most recent drift evaluation (phase stats included).
   const ReoptimizeResult& last_reoptimize() const { return last_reopt_; }
 
   // --- live query churn (src/query/registration.h) ----------------------
   //
   // The attached registry is the DESIRED standing query set; the manager
   // turns accepted churn calls into a plan swap at the next watermark-
-  // aligned boundary, reusing the drift hot-swap machinery. The sharing
-  // plan over the changed query set comes from the INCREMENTAL optimizer
-  // (src/sharing/incremental.h): only the conflict clusters the churned
-  // query touches are re-solved. All churn calls are ingest-thread only,
-  // like Ingest itself.
+  // aligned boundary, reusing the drift hot-swap machinery. Every accepted
+  // churn call re-plans the changed active set with the drift rule
+  // (Reoptimize at the monitor's current rates) and always swaps: the old
+  // plan no longer covers the query set. All churn calls are ingest-thread
+  // only, like Ingest itself.
 
   /// Attaches the registry (must wrap the SAME workload this manager was
   /// constructed with, and outlive the manager). Churn calls without an
   /// attached registry are refused with kBadQuery.
   void AttachRegistry(query::QueryRegistry* registry);
 
-  /// Registers a new standing query. On acceptance the sharing graph is
-  /// patched incrementally and a churn swap is attempted immediately
-  /// (retried on later watermark punctuations while refused). The
+  /// Registers a new standing query. On acceptance the active set is
+  /// re-planned and a churn swap is attempted immediately (retried with
+  /// the same plan on later watermark punctuations while refused). The
   /// returned id produces results beginning at the commit boundary.
   query::ChurnResult RegisterQuery(Query q);
 
@@ -171,26 +165,22 @@ class PlanManager {
     return last_churn_swap_;
   }
 
-  /// The incremental optimizer (null until the first accepted churn op).
-  const sharing::IncrementalSharingOptimizer* incremental() const {
-    return inc_.get();
-  }
-
  private:
   void EvaluateEpoch();
 
-  /// Lazily builds the incremental optimizer over the current active set
-  /// (rates: monitor estimate when a window closed, zero otherwise —
-  /// zero-rate plans share nothing, which is the right cold-start plan).
-  void EnsureIncremental();
+  /// Reoptimize over the active set at the monitor's current rates (zero
+  /// before the first full window: a zero-rate plan shares nothing, the
+  /// right cold-start plan) with the configured SO pipeline.
+  ReoptimizeResult Replan();
 
-  /// Compiles the incremental plan and requests the swap that commits
-  /// every pending churn op. Refusals leave the ops pending; the caller
-  /// retries on watermark punctuations.
+  /// One accepted churn call: trace + metrics, a re-plan of the changed
+  /// active set, and the churn swap.
+  void OnChurn(obs::TraceKind kind, QueryId id);
+
+  /// Compiles churn_plan_ and requests the swap that commits every
+  /// pending churn op. Refusals leave the ops pending; the caller retries
+  /// on watermark punctuations.
   void TryChurnSwap();
-
-  /// Trace + metrics emission of one accepted churn call.
-  void NoteChurn(obs::TraceKind kind, QueryId id);
 
   const Workload* workload_;
   runtime::ShardedRuntime* runtime_;
@@ -203,7 +193,9 @@ class PlanManager {
   int64_t last_evaluated_epoch_ = -1;
   bool baselined_ = false;
   query::QueryRegistry* registry_ = nullptr;
-  std::unique_ptr<sharing::IncrementalSharingOptimizer> inc_;
+  /// The last churn call's plan over the active set; a refused churn swap
+  /// retries with it.
+  SharingPlan churn_plan_;
   runtime::ShardedRuntime::SwapRequest last_churn_swap_;
 };
 

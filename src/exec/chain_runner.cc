@@ -248,12 +248,10 @@ std::string ChainRunner::LoadState(serde::BinaryReader& r) {
     });
   }
   if (!r.ok()) return "chain runner state truncated";
-#ifndef NDEBUG
   // The restored engine releases only events at or above its reorder
   // frontier, all later than anything processed before the checkpoint, so
   // the ordering contract stays intact with the sentinel reset.
   last_time_ = -1;
-#endif
   return "";
 }
 

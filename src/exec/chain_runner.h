@@ -130,9 +130,10 @@ class ChainRunner {
   std::vector<std::vector<PaneAgg>> pane_pool_;  ///< recycled per_pane buffers
   std::vector<PaneAgg> pane_batch_;    ///< EmitFinal scratch (reused)
   std::vector<AggState> window_batch_; ///< EmitFinal per-window scratch
-#ifndef NDEBUG
-  Timestamp last_time_ = -1;  ///< ordering-contract check (debug only)
-#endif
+  /// Ordering-contract check, asserted only without NDEBUG. The member
+  /// exists in every build so that NDEBUG and non-NDEBUG translation units
+  /// agree on the class layout.
+  Timestamp last_time_ = -1;
 };
 
 }  // namespace sharon

@@ -132,18 +132,6 @@ LiveState MultiEngine::LiveStateSnapshot() const {
   return live;
 }
 
-RunStats MultiEngine::Run(const std::vector<Event>& events,
-                          Duration duration) {
-  RunStats stats;
-  StopWatch watch;
-  for (const Event& e : events) OnEvent(e);
-  stats.wall_seconds = watch.ElapsedSeconds();
-  stats.events_processed = events.size() * plan_->total_queries;
-  stats.peak_state_bytes = EstimatedBytes();
-  (void)duration;
-  return stats;
-}
-
 double MultiEngine::Value(QueryId query, WindowId window, AttrValue group,
                           AggFunction fn) const {
   return Get(query, window, group).Final(fn);

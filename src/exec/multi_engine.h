@@ -105,7 +105,6 @@ class MultiEngine {
   void OnEvent(const Event& e) {
     for (auto& engine : engines_) engine->OnEvent(e);
   }
-  RunStats Run(const std::vector<Event>& events, Duration duration);
 
   // --- bounded-disorder ingestion (src/common/watermark.h) --------------
   // Each segment engine reorders and finalizes independently against its

@@ -146,16 +146,6 @@ OptimizerResult OptimizeSharon(const Workload& workload,
   return r;
 }
 
-OptimizerResult OptimizeCluster(const Workload& workload,
-                                const std::vector<Candidate>& cluster,
-                                const SharonGraph::WeightFn& weight,
-                                const OptimizerConfig& config) {
-  OptimizerResult go = OptimizeGreedy(workload, cluster, weight);
-  if (go.graph_edges == 0) return go;
-  OptimizerResult so = OptimizeSharon(workload, cluster, weight, config);
-  return so.score > go.score ? so : go;
-}
-
 OptimizerResult OptimizeGreedy(const Workload& workload, const CostModel& cm) {
   auto cands = FindSharableCandidates(workload);
   return OptimizeGreedy(workload, cands, [&](const Candidate& c) {
@@ -182,7 +172,7 @@ OptimizerResult OptimizeSharon(const Workload& workload, const CostModel& cm,
 
 ReoptimizeResult Reoptimize(const Workload& workload, const CostModel& cm,
                             const SharingPlan& current,
-                            const ReoptimizeOptions& opts) {
+                            const OptimizerConfig& config) {
   ReoptimizeResult r;
   StopWatch watch;
   r.current_score = PlanScore(current, workload, cm);
@@ -190,21 +180,18 @@ ReoptimizeResult Reoptimize(const Workload& workload, const CostModel& cm,
 
   watch.Reset();
   OptimizerResult go = OptimizeGreedy(workload, cm);
-  r.phases.push_back(
-      {"GO", watch.ElapsedMillis(), go.PeakBytes(), ""});
-
-  const double go_gain = go.score - r.current_score;
-  const double denom = r.current_score > 1.0 ? r.current_score : 1.0;
-  if (go_gain / denom > opts.so_escalation_gap) {
-    watch.Reset();
-    OptimizerResult so = OptimizeSharon(workload, cm, opts.config);
-    r.escalated = true;
-    r.phases.push_back({"SO", watch.ElapsedMillis(), so.PeakBytes(),
-                        so.completed ? "" : PlanFinderLimitName(so.limit)});
-    r.chosen = so.score >= go.score ? std::move(so) : std::move(go);
-  } else {
+  r.phases.push_back({"GO", watch.ElapsedMillis(), go.PeakBytes(), ""});
+  if (go.graph_edges == 0) {
     r.chosen = std::move(go);
+    return r;
   }
+
+  watch.Reset();
+  OptimizerResult so = OptimizeSharon(workload, cm, config);
+  r.escalated = true;
+  r.phases.push_back({"SO", watch.ElapsedMillis(), so.PeakBytes(),
+                      so.completed ? "" : PlanFinderLimitName(so.limit)});
+  r.chosen = so.score > go.score ? std::move(so) : std::move(go);
   return r;
 }
 

@@ -89,21 +89,6 @@ OptimizerResult OptimizeSharon(const Workload& workload,
                                const SharonGraph::WeightFn& weight,
                                const OptimizerConfig& config = {});
 
-/// Solves ONE conflict cluster (a connected component of the sharing
-/// graph): runs GO, escalating to SO only when the cluster carries at
-/// least one conflict edge — a conflict-free cluster's GWMIN pick is
-/// already every positive vertex, so SO cannot improve it. Unlike
-/// Reoptimize's gain-based escalation this rule is STRUCTURAL, i.e. a
-/// pure function of (candidates, weights): a cluster born from a churn
-/// merge has no incumbent score to measure gain against, and the
-/// incremental optimizer (src/sharing/incremental.h) needs patched and
-/// rebuilt clusters to make bit-identical escalation decisions. Ties
-/// between the SO and GO scores keep GO's plan.
-OptimizerResult OptimizeCluster(const Workload& workload,
-                                const std::vector<Candidate>& cluster,
-                                const SharonGraph::WeightFn& weight,
-                                const OptimizerConfig& config = {});
-
 /// Convenience entry points: candidates via modified CCSpan, weights via
 /// the §3 cost model.
 OptimizerResult OptimizeGreedy(const Workload& workload, const CostModel& cm);
@@ -113,33 +98,27 @@ OptimizerResult OptimizeExhaustive(const Workload& workload,
 OptimizerResult OptimizeSharon(const Workload& workload, const CostModel& cm,
                                const OptimizerConfig& config = {});
 
-// --- incremental re-optimization (§7.4 dynamic workloads) -------------------
+// --- re-optimization (§7.4 dynamic workloads) ------------------------------
 //
-// When runtime statistics show drifted rates, the cheap question is "how
-// much better could a fresh plan be?" — answered by re-costing the CURRENT
-// plan under the new rates (Def. 8 is a pure function of rates) and running
-// the polynomial GO pipeline. Only when GO already promises a significant
-// gain is the exponential SO pipeline worth its latency; the escalation
-// threshold makes that trade explicit. src/adaptive/PlanManager drives this
-// on an epoch cadence and hot-swaps the winner (src/runtime/plan_swap.h).
-
-/// Knobs of one re-optimization pass.
-struct ReoptimizeOptions {
-  /// Escalate from GO to SO when GO's predicted relative gain over the
-  /// current plan exceeds this ratio (SO can only widen the gain).
-  double so_escalation_gap = 0.5;
-  /// Pipeline configuration for the SO escalation.
-  OptimizerConfig config;
-};
+// The one planning rule for a running workload: when the rates drift or
+// the standing query set churns, src/adaptive/PlanManager re-plans the
+// active set with Reoptimize and hot-swaps the winner
+// (src/runtime/plan_swap.h). The pass re-costs the CURRENT plan under the
+// new rates (Def. 8 is a pure function of rates), runs the polynomial GO
+// pipeline, and pays for the exponential SO pipeline only when GO's graph
+// carries a conflict edge: a conflict-free graph's GWMIN pick is already
+// every positive vertex, so SO cannot improve it. SO's plan wins only
+// when it scores strictly higher, so no pass scores below GO — not even
+// where the expansion budget leaves SO's graph short of GO's.
 
 /// Outcome of one re-optimization pass.
 struct ReoptimizeResult {
   /// The incumbent plan's score (Def. 8 sum) under the NEW rates.
   double current_score = 0;
-  /// The winning freshly-optimized pipeline outcome (GO, or SO when
-  /// escalated and better).
+  /// The winning freshly-optimized pipeline outcome (GO, or SO when it
+  /// ran and scored strictly higher).
   OptimizerResult chosen;
-  bool escalated = false;  ///< SO pipeline ran
+  bool escalated = false;  ///< SO pipeline ran (GO's graph had a conflict)
   /// Phase stats of the whole pass: "re-cost current", "GO", ["SO"].
   std::vector<OptimizerPhase> phases;
 
@@ -159,12 +138,12 @@ struct ReoptimizeResult {
   }
 };
 
-/// Re-scores `current` under `cm`'s rates and searches for a better plan
-/// (GO, escalating to SO per `opts`). Pure planning: the caller decides
-/// whether the gain clears its hysteresis margin and performs the swap.
+/// Re-scores `current` under `cm`'s rates and plans the workload's active
+/// set (GO, then SO with `config` when GO's graph has a conflict edge).
+/// Pure planning: the caller decides whether to swap to the chosen plan.
 ReoptimizeResult Reoptimize(const Workload& workload, const CostModel& cm,
                             const SharingPlan& current,
-                            const ReoptimizeOptions& opts = {});
+                            const OptimizerConfig& config = {});
 
 }  // namespace sharon
 

@@ -57,7 +57,7 @@ TEST(MultiEngineTest, ResultsMatchPerSegmentReference) {
 
   std::vector<Event> stream = {Ev(kA, 1), Ev(kB, 3),  Ev(kC, 4),
                                Ev(kA, 7), Ev(kB, 11), Ev(kC, 14)};
-  me.Run(stream, 20);
+  for (const Event& e : stream) me.OnEvent(e);
 
   // Per-query oracle: evaluate each query alone as a uniform workload.
   for (const Query& q : w.queries()) {

@@ -1,10 +1,18 @@
 // End-to-end optimizer pipeline tests over generated workloads and real
-// cost-model weights: pipeline invariants, fallback behaviour, and the
-// executor actually getting faster state under a shared plan.
+// cost-model weights: pipeline invariants, fallback behaviour, the
+// executor actually getting faster state under a shared plan, and the one
+// re-planning rule (Reoptimize) over seeded query-churn scripts.
 
 #include "src/planner/optimizer.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "src/exec/engine.h"
 #include "src/sharing/ccspan.h"
@@ -215,6 +223,136 @@ TEST(OptimizerTest, SharedPlanShrinksExecutorState) {
   RunStats ns = nonshared.Run(s.events, s.duration);
   EXPECT_TRUE(ss.finished);
   EXPECT_LT(ss.peak_state_bytes, ns.peak_state_bytes);
+}
+
+// --- the one re-planning rule over query churn ------------------------------
+//
+// Drift and churn both re-plan the active set with Reoptimize. Seeded
+// register / retire / reactivate scripts edit the query set; after every
+// op the pass must plan only active queries, never score below GO or SO
+// under the same config, and give the same plan on a rerun. Seeds honor
+// SHARON_DISORDER_SEED_BASE, so the CI seed matrix sweeps disjoint
+// script families.
+
+uint64_t SweepBaseSeed() {
+  const char* env = std::getenv("SHARON_DISORDER_SEED_BASE");
+  return env ? static_cast<uint64_t>(std::atoll(env)) : 0;
+}
+
+constexpr uint32_t kChurnTypes = 6;
+
+Query RandomChurnQuery(std::mt19937_64& rng) {
+  std::uniform_int_distribution<size_t> len_dist(2, 4);
+  const size_t len = len_dist(rng);
+  // Distinct types (assumption 3), random order.
+  std::vector<EventTypeId> types(kChurnTypes);
+  for (uint32_t t = 0; t < kChurnTypes; ++t) types[t] = t;
+  std::shuffle(types.begin(), types.end(), rng);
+  types.resize(len);
+  Query q;
+  q.pattern = Pattern(types);
+  q.agg = AggSpec::CountStar();
+  q.window = {Seconds(10), Seconds(5)};
+  q.partition_attr = 0;
+  return q;
+}
+
+TypeRates RandomChurnRates(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> rate_dist(0.5, 12.0);
+  TypeRates rates;
+  for (uint32_t t = 0; t < kChurnTypes; ++t) rates.Set(t, rate_dist(rng));
+  return rates;
+}
+
+/// Counts over one script, so the sweep can show it was not vacuous.
+struct ChurnScriptCounts {
+  size_t shared_plans = 0;  ///< passes whose plan shares something
+  size_t escalations = 0;   ///< passes that ran SO
+  size_t so_below_go = 0;   ///< passes where SO alone scored below GO
+};
+
+/// Runs one seeded edit script, feeding each pass's plan back in as the
+/// next pass's incumbent the way PlanManager does, and checks the rule
+/// after every op.
+ChurnScriptCounts RunReoptimizeScript(uint64_t seed,
+                                      const OptimizerConfig& config,
+                                      size_t ops = 14) {
+  std::mt19937_64 rng(seed);
+  Workload w;
+  for (size_t i = 0; i < 8; ++i) w.Add(RandomChurnQuery(rng));
+  const CostModel cm(RandomChurnRates(rng));
+  ChurnScriptCounts counts;
+  SharingPlan incumbent;
+
+  for (size_t op = 0; op < ops; ++op) {
+    const std::string label = "seed=" + std::to_string(seed) +
+                              " expand=" + std::to_string(config.expand) +
+                              " op=" + std::to_string(op);
+    std::vector<QueryId> active, inactive;
+    for (const Query& q : w.queries()) {
+      (w.active(q.id) ? active : inactive).push_back(q.id);
+    }
+    const uint64_t roll = rng() % 3;
+    if (roll == 0 && active.size() > 1) {
+      w.SetActive(active[rng() % active.size()], false);  // retire
+    } else if (roll == 1 && !inactive.empty()) {
+      w.SetActive(inactive[rng() % inactive.size()], true);  // reactivate
+    } else {
+      w.Add(RandomChurnQuery(rng));  // register
+    }
+
+    const ReoptimizeResult r = Reoptimize(w, cm, incumbent, config);
+    EXPECT_EQ(r.current_score, PlanScore(incumbent, w, cm)) << label;
+    for (const Candidate& c : r.chosen.plan) {
+      for (QueryId q : c.queries) {
+        EXPECT_TRUE(w.active(q)) << label << ": plan names retired query " << q;
+      }
+    }
+    const double tol = 1e-9 * std::max(1.0, std::abs(r.chosen.score));
+    EXPECT_NEAR(PlanScore(r.chosen.plan, w, cm), r.chosen.score, tol) << label;
+    const double go = OptimizeGreedy(w, cm).score;
+    const double so = OptimizeSharon(w, cm, config).score;
+    EXPECT_GE(r.chosen.score + tol, go) << label;
+    EXPECT_GE(r.chosen.score + tol, so) << label;
+
+    const ReoptimizeResult rerun = Reoptimize(w, cm, incumbent, config);
+    EXPECT_EQ(rerun.chosen.plan, r.chosen.plan) << label;
+    EXPECT_EQ(rerun.chosen.score, r.chosen.score) << label;
+    EXPECT_EQ(rerun.escalated, r.escalated) << label;
+
+    counts.shared_plans += r.chosen.plan.empty() ? 0 : 1;
+    counts.escalations += r.escalated ? 1 : 0;
+    counts.so_below_go += so + tol < go ? 1 : 0;
+    incumbent = r.chosen.plan;
+  }
+  return counts;
+}
+
+TEST(ReoptimizeProperty, ChurnScriptsKeepTheOneRule) {
+  OptimizerConfig fast;  // the benches' executor-focused limits
+  fast.expand = false;
+  fast.finder.time_limit_seconds = 3.0;
+  fast.finder.max_level_plans = 200'000;
+  // An expansion budget that runs out before every vertex is expanded
+  // drops the late vertices' originals, so SO alone can score below GO.
+  OptimizerConfig tight;
+  tight.expansion.max_total_candidates = 2;
+  auto sweep = [](const OptimizerConfig& config) {
+    ChurnScriptCounts total;
+    for (uint64_t s = 0; s < 5; ++s) {
+      const ChurnScriptCounts c =
+          RunReoptimizeScript(SweepBaseSeed() + 101 + s, config);
+      total.shared_plans += c.shared_plans;
+      total.escalations += c.escalations;
+      total.so_below_go += c.so_below_go;
+    }
+    EXPECT_GT(total.shared_plans, 0u) << "vacuous: no pass shared anything";
+    EXPECT_GT(total.escalations, 0u) << "vacuous: SO never ran";
+    return total;
+  };
+  sweep(OptimizerConfig{});
+  sweep(fast);
+  EXPECT_GT(sweep(tight).so_below_go, 0u) << "vacuous: the GO floor never bit";
 }
 
 }  // namespace

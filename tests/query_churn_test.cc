@@ -206,13 +206,13 @@ struct ChurnFixture {
   std::vector<Event> sorted;
 };
 
-ChurnFixture MakeFixture() {
+ChurnFixture MakeFixture(Duration duration = Seconds(20)) {
   ChurnFixture f;
   TaxiConfig cfg;
   cfg.num_streets = 8;
   cfg.num_vehicles = 10;
   cfg.events_per_second = 400;
-  cfg.duration = Seconds(20);
+  cfg.duration = duration;
   Scenario s = GenerateTaxi(cfg);
 
   WorkloadGenConfig wcfg;
@@ -350,6 +350,52 @@ TEST(ChurnLifecycle, DeferredDuringInFlightCheckpoint) {
     EXPECT_FALSE(rt.shard_for_test(i).swap_in_flight()) << "shard " << i;
   }
   std::filesystem::remove_all(dir);
+}
+
+// Churn re-plans with the drift rule at the rates measured when the call
+// arrives. A register before the monitor's first full window plans at
+// zero rates and shares nothing; a retire once rates are known must not
+// stay pinned to those zero rates. On this stable-rate stream no drift
+// swap intervenes, so the retire's churn swap alone installs the plan
+// that Reoptimize gives at the monitor's rates.
+TEST(ChurnLifecycle, LaterChurnReplansAtCurrentRates) {
+  ChurnFixture f = MakeFixture(Seconds(60));
+  ShardedRuntime rt(f.workload, f.plan, FixtureOptions(2));
+  ASSERT_TRUE(rt.ok()) << rt.error();
+  const PlanManagerOptions popts;
+  PlanManager mgr(f.workload, &rt, f.plan, popts);
+  QueryRegistry reg(&f.workload);
+  mgr.AttachRegistry(&reg);
+
+  rt.Start();
+  size_t i = 0;
+  auto ingest_before = [&](Timestamp t) {
+    for (; i < f.arrivals.size() && f.arrivals[i].time < t; ++i) {
+      mgr.Ingest(f.arrivals[i]);
+    }
+  };
+  ingest_before(Seconds(2));
+  ASSERT_LT(mgr.monitor().epochs_closed(), popts.window_epochs);
+  const ChurnResult add = mgr.RegisterQuery(FixtureChurnQuery(f.workload));
+  ASSERT_TRUE(add.accepted) << add.reason;
+
+  ingest_before(Seconds(30));
+  const ChurnResult retire = mgr.RetireQuery(add.id);
+  ASSERT_TRUE(retire.accepted) << retire.reason;
+  const ReoptimizeResult expected =
+      Reoptimize(f.workload, CostModel(mgr.monitor().CurrentRates()),
+                 mgr.current_plan(), popts.optimizer);
+
+  for (; i < f.arrivals.size(); ++i) mgr.Ingest(f.arrivals[i]);
+  rt.Finish();
+
+  EXPECT_EQ(mgr.pending_churn(), 0u);
+  ASSERT_EQ(mgr.stats().churn_swaps, 2u);
+  ASSERT_EQ(mgr.stats().swaps_accepted, 0u) << "a drift swap intervened";
+  EXPECT_FALSE(mgr.current_plan().empty())
+      << "the retire's plan shares nothing at measured rates";
+  EXPECT_EQ(mgr.current_plan(), expected.chosen.plan);
+  EXPECT_GT(expected.chosen.score, 0);
 }
 
 // A retired id's frozen result surface — windows closing at or before its

@@ -144,7 +144,7 @@ TEST(ShardedRuntimeDeterminism, EcommerceMultiWindowMatchesMultiEngine) {
 
   MultiEngine reference(plan);
   ASSERT_TRUE(reference.ok()) << reference.error();
-  reference.Run(s.events, s.duration);
+  for (const Event& e : s.events) reference.OnEvent(e);
 
   // Enumerate reference cells with original query ids.
   CellMap expected;
