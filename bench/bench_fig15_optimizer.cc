@@ -8,6 +8,13 @@
 // queries; SO stays orders of magnitude below EO thanks to reduction and
 // invalid-branch pruning but above polynomial GO; GO's own cost is
 // dominated by graph construction.
+//
+// Memory is each pipeline's peak phase bytes (OptimizerResult::PeakBytes).
+// SO's plan-finder phase counts the reduced graph plus the finder's
+// buffers. The finder walks the plan lattice depth first and holds one
+// candidate mask per depth, not lattice levels, so SO's memory follows
+// the graph rather than the widest level: 0.94 MB on the 100-query
+// plan_scale workload, whose widest level holds 248,960 plans.
 
 #include <cstdio>
 

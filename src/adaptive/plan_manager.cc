@@ -40,17 +40,18 @@ void PlanManager::Ingest(const Event& e, size_t partition) {
   if (!baselined_) {
     // First complete window: take it as the rates the INITIAL plan stands
     // for (the caller optimized against startup rates; drift is measured
-    // from here).
+    // from here). A churn call before it planned at zero rates, though,
+    // so that plan is evaluated here instead.
     monitor_.RebaseOnCurrent();
     baselined_ = true;
-    return;
+    if (!zero_rate_plan_) return;
   }
   EvaluateEpoch();
 }
 
 void PlanManager::EvaluateEpoch() {
   const bool drifted = monitor_.DriftDetected();
-  if (options_.require_drift && !drifted) return;
+  if (options_.require_drift && !drifted && !zero_rate_plan_) return;
   if (drifted) ++stats_.drift_detections;
   ++stats_.evaluations;
 
@@ -84,6 +85,13 @@ void PlanManager::EvaluateEpoch() {
     // rebase a one-time rate shift would re-trigger the optimizer every
     // epoch forever even though the answer never changes.
     monitor_.RebaseOnCurrent();
+    zero_rate_plan_ = false;
+    // Pending churn still needs its swap: retry it with this pass's plan,
+    // the same active set at fresher rates, so a zero-rate churn plan
+    // refused before the first full window does not land unevaluated.
+    if (registry_ && !registry_->pending().empty()) {
+      churn_plan_ = last_reopt_.chosen.plan;
+    }
     decide(obs::ReoptOutcome::kHold, last_reopt_.GainRatio());
     return;
   }
@@ -114,6 +122,7 @@ void PlanManager::EvaluateEpoch() {
   // it realizes any pending churn at its boundary: commit the ops there.
   if (registry_) registry_->CommitPending(req.boundary);
   monitor_.RebaseOnCurrent();
+  zero_rate_plan_ = false;
   decide(obs::ReoptOutcome::kSwapAccepted, last_reopt_.GainRatio());
 }
 
@@ -175,6 +184,7 @@ void PlanManager::OnChurn(obs::TraceKind kind, QueryId id) {
                                  : tel->control_cells().queries_retired;
     if (cell) cell->Inc();
   }
+  zero_rate_plan_ = !baselined_;
   churn_plan_ = Replan().chosen.plan;
   TryChurnSwap();
 }

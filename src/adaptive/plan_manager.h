@@ -51,8 +51,10 @@ struct PlanManagerOptions {
   /// rates the active plan was last validated against).
   double drift_threshold = 0.4;
 
-  /// When true (default), the optimizer only runs on detected drift;
-  /// false re-optimizes every epoch regardless (bench/diagnostics mode).
+  /// When true (default), an epoch runs the optimizer only on detected
+  /// drift or while a churn call's zero-rate plan (made before the first
+  /// full window) awaits evaluation; false re-optimizes every epoch
+  /// regardless (bench/diagnostics mode).
   bool require_drift = true;
 
   /// Minimum predicted relative gain (ReoptimizeResult::GainRatio) before
@@ -67,9 +69,10 @@ struct PlanManagerOptions {
 /// Counters of one adaptive run (monotone; inspect any time).
 struct PlanManagerStats {
   uint64_t epochs_seen = 0;        ///< epoch boundaries crossed
-  uint64_t evaluations = 0;        ///< drift re-optimization passes run
+  uint64_t evaluations = 0;        ///< epoch re-optimization passes run
+                                   ///< (drift or zero-rate churn plan)
   uint64_t drift_detections = 0;   ///< evaluations triggered by drift
-  uint64_t escalations = 0;        ///< drift passes that ran SO
+  uint64_t escalations = 0;        ///< evaluations that ran SO
   uint64_t holds = 0;              ///< gain below hysteresis, kept plan
   uint64_t swaps_requested = 0;
   uint64_t swaps_accepted = 0;
@@ -123,7 +126,7 @@ class PlanManager {
   const PlanManagerStats& stats() const { return stats_; }
   const RateMonitor& monitor() const { return monitor_; }
 
-  /// Outcome of the most recent drift evaluation (phase stats included).
+  /// Outcome of the most recent epoch evaluation (phase stats included).
   const ReoptimizeResult& last_reoptimize() const { return last_reopt_; }
 
   // --- live query churn (src/query/registration.h) ----------------------
@@ -170,7 +173,8 @@ class PlanManager {
 
   /// Reoptimize over the active set at the monitor's current rates (zero
   /// before the first full window: a zero-rate plan shares nothing, the
-  /// right cold-start plan) with the configured SO pipeline.
+  /// right cold-start plan, and that window evaluates it) with the
+  /// configured SO pipeline.
   ReoptimizeResult Replan();
 
   /// One accepted churn call: trace + metrics, a re-plan of the changed
@@ -192,9 +196,14 @@ class PlanManager {
   uint64_t incumbent_plan_id_ = 0;
   int64_t last_evaluated_epoch_ = -1;
   bool baselined_ = false;
+  /// A churn call before the first full window planned at zero rates:
+  /// every epoch from that window on evaluates, drift or not, until an
+  /// evaluation holds or its swap is accepted. A hold with churn still
+  /// pending hands its plan to the churn retry.
+  bool zero_rate_plan_ = false;
   query::QueryRegistry* registry_ = nullptr;
-  /// The last churn call's plan over the active set; a refused churn swap
-  /// retries with it.
+  /// The last churn call's plan over the active set (or a later held
+  /// evaluation's); a refused churn swap retries with it.
   SharingPlan churn_plan_;
   runtime::ShardedRuntime::SwapRequest last_churn_swap_;
 };

@@ -1,25 +1,21 @@
 // The optimal sharing plan finder (paper §6, Algorithms 3 and 4).
 //
-// Traverses ONLY the valid portion of the 2^|V| plan lattice (Fig. 8)
-// breadth-first, one connected component at a time. Level s+1 is
-// generated apriori-style from level s (Lemma 6): two valid plans sharing
-// their first s-1 candidates join into a child, which is valid iff their
-// two differing candidates are not in conflict — no other parent needs
-// checking. Invalid branches are thereby cut at their roots (Lemma 4),
-// and only the level being joined and the one it produces are held in
-// memory.
+// Visits ONLY the valid portion of the 2^|V| plan lattice (Fig. 8), one
+// connected component at a time. By Lemma 6, the child P+u+x of a valid
+// plan P+u is valid iff P+x is valid and x does not conflict with u — no
+// other candidate needs checking — so invalid branches are cut at their
+// roots (Lemma 4). Each plan therefore keeps the candidates that extend it
+// as one bit mask over the component's vertices, and a child's mask is its
+// parent's mask above u minus u's conflict row: one AND per word.
 //
-// Layout: a level is stored flat — one array of width x n
-// component-local vertex indices, one of scores and one of block starts.
-// The children of one parent form exactly one block of the next level
-// (the plans sharing a prefix), so the joins need no prefix comparison.
-// Each component's conflicts are a bit matrix, and each block's last
-// indices are one mask over the same indices, so a parent's valid
-// partners (Lemma 6) are the mask minus the parent's conflict row, read
-// upward with count-trailing-zeros in the order of a pairwise loop. The
-// matrix, the weights and two level buffers are allocated once per
-// FindOptimalPlan call and reused across levels and components, so the
-// search allocates independently of the number of plans it visits.
+// The paper joins the lattice level by level; this walks the same lattice
+// depth first, the enumeration scheme of Bron and Kerbosch (CACM 1973)
+// applied to independent sets, and reports what the level-wise search
+// reports: the same plans visited, per-size counts in place of level
+// sizes, and the same best plan (see FindOptimalPlan). The walk holds the
+// component's conflict bit matrix and one candidate mask per depth, in
+// buffers reused across components: no lattice level is stored, so memory
+// and allocations do not grow with the number of plans visited.
 
 #ifndef SHARON_PLANNER_PLAN_FINDER_H_
 #define SHARON_PLANNER_PLAN_FINDER_H_
@@ -34,6 +30,10 @@ namespace sharon {
 /// Limits for the exponential worst case (§6 "extreme cases").
 struct PlanFinderOptions {
   double time_limit_seconds = 60.0;
+  /// Most plans of one size (one lattice level) a component may have; 0 is
+  /// unlimited. Sizes >= 2 are checked. A component with a larger level
+  /// stops the search with kLevelSize, reporting the levels below the
+  /// smallest such level in full, as a level-wise search would.
   uint64_t max_level_plans = 2'000'000;
 };
 
@@ -41,7 +41,7 @@ struct PlanFinderOptions {
 enum class PlanFinderLimit {
   kNone,       ///< search completed
   kTime,       ///< time_limit_seconds expired
-  kLevelSize,  ///< a lattice level exceeded max_level_plans
+  kLevelSize,  ///< a lattice level of size >= 2 exceeded max_level_plans
   kVertexCount ///< too many vertices to enumerate at all (exhaustive)
 };
 
@@ -53,9 +53,10 @@ struct PlanFinderResult {
   std::vector<VertexId> best;   ///< optimal valid plan (vertex ids)
   double best_score = 0;
   uint64_t plans_considered = 0;
-  size_t peak_level_plans = 0;  ///< widest level held in memory
-  /// Fig. 15(b) memory proxy: bytes held by the finder's flat buffers
-  /// (two lattice levels, the conflict bit matrix and the weights).
+  size_t peak_level_plans = 0;  ///< widest lattice level (plans of one size)
+  /// Fig. 15(b) memory proxy: bytes held by the finder's buffers (the
+  /// conflict bit matrix, one candidate mask per depth, the weights, the
+  /// current path and its scores, the per-size counts and the best plan).
   size_t peak_bytes = 0;
   bool completed = true;        ///< false: hit the time/size limit
   /// The limit that triggered completed=false (kNone when completed), so
@@ -63,10 +64,11 @@ struct PlanFinderResult {
   PlanFinderLimit limit = PlanFinderLimit::kNone;
 };
 
-/// Algorithm 4: BFS over valid plans, returning the best one. Within a
+/// Algorithm 4: visits every valid plan, returning the best one. Within a
 /// component, the best plan is the first one of maximal score in (size,
 /// then lexicographic) order; scores sum left to right in ascending vertex
 /// order, and component optima are summed in ConnectedComponents() order.
+/// The time limit is checked at the first plan and every 16,384 after it.
 PlanFinderResult FindOptimalPlan(const SharonGraph& graph,
                                  const PlanFinderOptions& opts = {});
 

@@ -8,7 +8,9 @@
 //    in every pass;
 //  - RunGwmin (Alg. 8) against a version that copies the graph;
 //  - FindOptimalPlan (Algs. 3-4) on components wider than one machine word
-//    against a depth-first enumeration of independent sets;
+//    against a depth-first enumeration of independent sets, and against
+//    the level-wise finder it replaced, unlimited and at the boundary of
+//    the level-size limit;
 //  - the planner's output on plan_scale's workload, pinned.
 //
 // Random cases honour SHARON_DISORDER_SEED_BASE like the other property
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <deque>
 #include <set>
@@ -673,6 +676,216 @@ TEST(OptimizerIdentity, FinderMatchesEnumerationOnWideComponents) {
   }
 }
 
+/// One lattice level of the level-wise finder, stored flat. Plan p is the
+/// `width` ascending component-local indices at
+/// plans[p * width, (p + 1) * width), scored scores[p]. The children of one
+/// parent are contiguous: block b spans plans [blocks[b], blocks[b + 1]),
+/// and blocks ends with a sentinel.
+struct RefLevel {
+  size_t width = 0;
+  std::vector<uint32_t> plans;
+  std::vector<double> scores;
+  std::vector<size_t> blocks;
+
+  size_t size() const { return scores.size(); }
+  const uint32_t* plan(size_t p) const { return plans.data() + p * width; }
+  uint32_t last(size_t p) const { return plans[(p + 1) * width - 1]; }
+
+  void Reset(size_t new_width) {
+    width = new_width;
+    plans.clear();
+    scores.clear();
+    blocks.clear();
+  }
+};
+
+/// Alg. 3 as the finder ran it level by level: generates level s+1 from
+/// level s by joining the plans of each block pairwise. Returns false once
+/// the level would exceed `max_plans` (0 = unlimited). `conflicts` rows and
+/// `members` are `stride` words over component-local indices; `members`
+/// is zero on entry and on return.
+bool RefGetNextLevel(const std::vector<uint64_t>& conflicts, size_t stride,
+                     const std::vector<double>& weights,
+                     const RefLevel& parents, uint64_t max_plans,
+                     RefLevel* children, uint64_t* members) {
+  const size_t width = parents.width;
+  children->Reset(width + 1);
+  for (size_t b = 0; b + 1 < parents.blocks.size(); ++b) {
+    const size_t block_begin = parents.blocks[b];
+    const size_t block_end = parents.blocks[b + 1];
+    for (size_t j = block_begin; j < block_end; ++j) {
+      const uint32_t vj = parents.last(j);
+      members[vj / 64] |= uint64_t{1} << (vj % 64);
+    }
+    uint64_t* const first_word = members + parents.last(block_begin) / 64;
+    uint64_t* const end_word = members + parents.last(block_end - 1) / 64 + 1;
+    for (size_t i = block_begin; i < block_end; ++i) {
+      const size_t first_child = children->size();
+      const uint32_t* parent = parents.plan(i);
+      const uint32_t vi = parent[width - 1];
+      const uint64_t* row = conflicts.data() + vi * stride;
+      for (size_t w = vi / 64; members + w < end_word; ++w) {
+        uint64_t partners = members[w] & ~row[w];
+        if (w == vi / 64) partners &= ~uint64_t{0} << (vi % 64) << 1;
+        for (; partners != 0; partners &= partners - 1) {
+          if (max_plans > 0 && children->size() >= max_plans) {
+            std::fill(first_word, end_word, 0);
+            return false;
+          }
+          const uint32_t vj =
+              static_cast<uint32_t>(w * 64 + std::countr_zero(partners));
+          children->plans.insert(children->plans.end(), parent,
+                                 parent + width);
+          children->plans.push_back(vj);
+          children->scores.push_back(parents.scores[i] + weights[vj]);
+        }
+      }
+      if (children->size() > first_child) {
+        children->blocks.push_back(first_child);
+      }
+    }
+    std::fill(first_word, end_word, 0);
+  }
+  children->blocks.push_back(children->size());
+  return true;
+}
+
+/// Alg. 4 level by level, per connected component, with the strict->
+/// best rule; no time limit.
+PlanFinderResult RefFindOptimalPlan(const SharonGraph& graph,
+                                    uint64_t max_level_plans) {
+  PlanFinderResult result;
+  std::vector<uint32_t> local(graph.capacity());
+  for (const std::vector<VertexId>& component : graph.ConnectedComponents()) {
+    const size_t n = component.size();
+    const size_t stride = (n + 63) / 64;
+    for (uint32_t i = 0; i < n; ++i) local[component[i]] = i;
+    std::vector<uint64_t> conflicts(n * stride, 0), members(stride, 0);
+    std::vector<double> weights;
+    for (uint32_t i = 0; i < n; ++i) {
+      weights.push_back(graph.weight(component[i]));
+      for (VertexId u : graph.adjacency(component[i])) {
+        if (!graph.alive(u)) continue;
+        conflicts[i * stride + local[u] / 64] |= uint64_t{1}
+                                                 << (local[u] % 64);
+      }
+    }
+    RefLevel level, next;
+    level.Reset(1);
+    for (uint32_t i = 0; i < n; ++i) {
+      level.plans.push_back(i);
+      level.scores.push_back(weights[i]);
+    }
+    level.blocks = {0, n};
+    double best_score = 0;
+    std::vector<uint32_t> best;
+    while (level.size() > 0) {
+      result.plans_considered += level.size();
+      result.peak_level_plans =
+          std::max(result.peak_level_plans, level.size());
+      size_t best_in_level = level.size();
+      for (size_t p = 0; p < level.size(); ++p) {
+        if (level.scores[p] > best_score) {
+          best_score = level.scores[p];
+          best_in_level = p;
+        }
+      }
+      if (best_in_level < level.size()) {
+        const uint32_t* plan = level.plan(best_in_level);
+        best.assign(plan, plan + level.width);
+      }
+      if (!RefGetNextLevel(conflicts, stride, weights, level,
+                           max_level_plans, &next, members.data())) {
+        result.completed = false;
+        result.limit = PlanFinderLimit::kLevelSize;
+        return result;
+      }
+      std::swap(level, next);
+    }
+    result.best_score += best_score;
+    for (uint32_t i : best) result.best.push_back(component[i]);
+  }
+  std::sort(result.best.begin(), result.best.end());
+  return result;
+}
+
+/// Compares FindOptimalPlan with the level-wise reference under one
+/// max_level_plans; returns the reference's result.
+PlanFinderResult ExpectSameSearch(const SharonGraph& g,
+                                  uint64_t max_level_plans,
+                                  const std::string& label) {
+  PlanFinderOptions opts;
+  opts.time_limit_seconds = 1e9;
+  opts.max_level_plans = max_level_plans;
+  const PlanFinderResult got = FindOptimalPlan(g, opts);
+  const PlanFinderResult want = RefFindOptimalPlan(g, max_level_plans);
+  const std::string at = label + " max_level_plans " +
+                         std::to_string(max_level_plans);
+  EXPECT_EQ(got.best, want.best) << at;
+  EXPECT_EQ(got.best_score, want.best_score) << at;  // bit-identical
+  EXPECT_EQ(got.plans_considered, want.plans_considered) << at;
+  EXPECT_EQ(got.peak_level_plans, want.peak_level_plans) << at;
+  EXPECT_EQ(got.completed, want.completed) << at;
+  EXPECT_EQ(got.limit, want.limit) << at;
+  return want;
+}
+
+/// Compares the finder with the level-wise reference unlimited, at a limit
+/// of the widest level and at one below it. Returns the reference's
+/// result at one below, so callers can check that the limit cut it.
+PlanFinderResult ExpectSameSearchAtEveryLimit(const SharonGraph& g,
+                                              const std::string& label) {
+  const PlanFinderResult full = ExpectSameSearch(g, 0, label);
+  ExpectSameSearch(g, full.peak_level_plans, label);
+  if (full.peak_level_plans < 2) return full;
+  return ExpectSameSearch(g, full.peak_level_plans - 1, label);
+}
+
+/// A random conflict graph: CCSpan's candidates over slices of two to four
+/// shuffled backbones, weighted 1..max_weight.
+SharonGraph MakeRandomFinderGraph(uint64_t seed, uint64_t max_weight,
+                                  Workload* w) {
+  Rng rng(seed);
+  std::vector<std::vector<EventTypeId>> backbones;
+  const uint32_t num_queries = 6 + static_cast<uint32_t>(rng.Below(11));
+  const uint32_t num_backbones = 2 + static_cast<uint32_t>(rng.Below(3));
+  const uint32_t backbone_len = 8 + static_cast<uint32_t>(rng.Below(5));
+  *w = BackboneWorkload(rng, num_queries, num_backbones, backbone_len, 2,
+                        &backbones);
+  return SharonGraph::Build(
+      *w, FindSharableCandidates(*w), [seed, max_weight](const Candidate& c) {
+        return HashWeight(c, seed, 1, max_weight);
+      });
+}
+
+TEST(OptimizerIdentity, FinderMatchesLevelWiseOnRandomGraphs) {
+  const uint64_t base = SweepBaseSeed();
+  size_t cut = 0;
+  for (uint64_t s = 0; s < 16; ++s) {
+    for (uint64_t max_weight : {100, 3}) {
+      Workload w;
+      const SharonGraph g = MakeRandomFinderGraph(base + s, max_weight, &w);
+      const std::string label = "seed " + std::to_string(base + s) +
+                                " max_weight " + std::to_string(max_weight);
+      cut += !ExpectSameSearchAtEveryLimit(g, label).completed;
+    }
+  }
+  EXPECT_GT(cut, 0u) << "no case reached the level-size limit";
+}
+
+TEST(OptimizerIdentity, FinderMatchesLevelWiseOnWideComponents) {
+  const uint64_t base = SweepBaseSeed();
+  for (uint64_t s = 0; s < 4; ++s) {
+    for (uint64_t max_weight : {100, 3}) {
+      Workload w;
+      const SharonGraph g = MakeWideComponentGraph(base + s, max_weight, &w);
+      const std::string label = "seed " + std::to_string(base + s) +
+                                " max_weight " + std::to_string(max_weight);
+      EXPECT_FALSE(ExpectSameSearchAtEveryLimit(g, label).completed) << label;
+    }
+  }
+}
+
 // --- plan_scale, pinned -----------------------------------------------------
 
 /// The planner input of the plan_scale benchmark workload: 100 generated
@@ -748,6 +961,19 @@ TEST(OptimizerIdentity, PlanScaleStagesMatchReferences) {
   // Def. 13 prunes 327 of its vertices over several passes.
   EXPECT_EQ(ExpectSameReduction(expanded, "plan_scale expanded graph"), 327u);
   ExpectSameGwmin(expanded, "plan_scale expanded graph");
+}
+
+// The graph the plan finder searches on plan_scale: expanded, then
+// reduced. Its widest level holds 248,960 plans.
+TEST(OptimizerIdentity, PlanScaleFinderMatchesLevelWise) {
+  const PlanScaleInput& in = PlanScale();
+  SharonGraph g = ExpandGraph(
+      SharonGraph::Build(in.workload, FindSharableCandidates(in.workload),
+                         in.weight),
+      in.workload, in.weight, in.config.expansion);
+  ReduceGraph(g);
+  const PlanFinderResult cut = ExpectSameSearchAtEveryLimit(g, "plan_scale");
+  EXPECT_EQ(cut.limit, PlanFinderLimit::kLevelSize);
 }
 
 }  // namespace

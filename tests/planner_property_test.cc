@@ -10,11 +10,14 @@
 //  - the level-size limit's boundary (max_level_plans).
 //
 // Random graphs are built from random workloads so conflicts come from
-// real pattern overlaps, not synthetic adjacency.
+// real pattern overlaps, not synthetic adjacency. Their seeds are offset by
+// SHARON_DISORDER_SEED_BASE like the other property suites, so each CI
+// seed-matrix leg checks different graphs; base 0 keeps seeds 0-23.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "src/common/rng.h"
 #include "src/graph/gwmin.h"
@@ -24,6 +27,11 @@
 
 namespace sharon {
 namespace {
+
+uint64_t SweepBaseSeed() {
+  const char* env = std::getenv("SHARON_DISORDER_SEED_BASE");
+  return env ? static_cast<uint64_t>(std::atoll(env)) : 0;
+}
 
 struct RandomGraphCase {
   Workload workload;
@@ -166,7 +174,7 @@ void ExpectLevelLimitBoundary(const SharonGraph& g) {
 class PlannerProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PlannerProperty, GwminMeetsGuaranteedWeight) {
-  RandomGraphCase c = MakeRandomGraph(GetParam());
+  RandomGraphCase c = MakeRandomGraph(SweepBaseSeed() + GetParam());
   if (c.graph.num_vertices() == 0) GTEST_SKIP();
   GwminResult r = RunGwmin(c.graph);
   EXPECT_TRUE(IsIndependent(c.graph, r.independent_set));
@@ -174,7 +182,7 @@ TEST_P(PlannerProperty, GwminMeetsGuaranteedWeight) {
 }
 
 TEST_P(PlannerProperty, FinderMatchesExhaustiveAndIsValid) {
-  RandomGraphCase c = MakeRandomGraph(GetParam());
+  RandomGraphCase c = MakeRandomGraph(SweepBaseSeed() + GetParam());
   if (c.graph.num_vertices() == 0 || c.graph.num_vertices() > 18) {
     GTEST_SKIP();
   }
@@ -192,7 +200,8 @@ TEST_P(PlannerProperty, FinderMatchesExhaustiveAndIsValid) {
 // not chance, decides which plan is best.
 TEST_P(PlannerProperty, FinderMatchesBruteForceExactly) {
   for (uint64_t max_weight : {100, 3}) {
-    RandomGraphCase c = MakeRandomGraph(GetParam(), max_weight);
+    RandomGraphCase c =
+        MakeRandomGraph(SweepBaseSeed() + GetParam(), max_weight);
     if (c.graph.num_vertices() == 0 || c.graph.num_vertices() > 18) {
       GTEST_SKIP();
     }
@@ -207,7 +216,7 @@ TEST_P(PlannerProperty, FinderMatchesBruteForceExactly) {
 }
 
 TEST_P(PlannerProperty, LevelLimitBoundary) {
-  RandomGraphCase c = MakeRandomGraph(GetParam());
+  RandomGraphCase c = MakeRandomGraph(SweepBaseSeed() + GetParam());
   if (c.graph.num_vertices() == 0 || c.graph.num_vertices() > 18) {
     GTEST_SKIP();
   }
@@ -219,7 +228,7 @@ TEST_P(PlannerProperty, LevelLimitBoundary) {
 }
 
 TEST_P(PlannerProperty, ReductionPreservesTheOptimum) {
-  RandomGraphCase c = MakeRandomGraph(GetParam());
+  RandomGraphCase c = MakeRandomGraph(SweepBaseSeed() + GetParam());
   if (c.graph.num_vertices() == 0 || c.graph.num_vertices() > 18) {
     GTEST_SKIP();
   }
@@ -238,7 +247,7 @@ TEST_P(PlannerProperty, ReductionPreservesTheOptimum) {
 }
 
 TEST_P(PlannerProperty, GwminNeverBeatsTheOptimum) {
-  RandomGraphCase c = MakeRandomGraph(GetParam());
+  RandomGraphCase c = MakeRandomGraph(SweepBaseSeed() + GetParam());
   if (c.graph.num_vertices() == 0 || c.graph.num_vertices() > 18) {
     GTEST_SKIP();
   }

@@ -8,6 +8,8 @@
 //  - churn ops queued while a plan swap / checkpoint is in flight defer
 //    with the typed runtime OpRefusal, commit on a later watermark retry,
 //    and leak no shard swap_in_flight,
+//  - churn plans at the monitor's current rates, and a churn plan made at
+//    zero rates before the first full rate window is evaluated there,
 //  - a retired id's frozen result surface survives a checkpoint/restore
 //    cycle into a DIFFERENT shard count.
 // The randomized differential matrix lives in query_churn_diff_test.cc.
@@ -18,6 +20,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -355,14 +358,17 @@ TEST(ChurnLifecycle, DeferredDuringInFlightCheckpoint) {
 // Churn re-plans with the drift rule at the rates measured when the call
 // arrives. A register before the monitor's first full window plans at
 // zero rates and shares nothing; a retire once rates are known must not
-// stay pinned to those zero rates. On this stable-rate stream no drift
-// swap intervenes, so the retire's churn swap alone installs the plan
-// that Reoptimize gives at the monitor's rates.
+// stay pinned to those zero rates. An infinite hysteresis makes every
+// evaluation hold (the first full window's evaluation of the zero-rate
+// plan included, see FirstFullWindowReplansZeroRateChurnPlan), so no
+// drift swap intervenes and the retire's churn swap alone installs the
+// plan that Reoptimize gives at the monitor's rates.
 TEST(ChurnLifecycle, LaterChurnReplansAtCurrentRates) {
   ChurnFixture f = MakeFixture(Seconds(60));
   ShardedRuntime rt(f.workload, f.plan, FixtureOptions(2));
   ASSERT_TRUE(rt.ok()) << rt.error();
-  const PlanManagerOptions popts;
+  PlanManagerOptions popts;
+  popts.hysteresis = std::numeric_limits<double>::infinity();
   PlanManager mgr(f.workload, &rt, f.plan, popts);
   QueryRegistry reg(&f.workload);
   mgr.AttachRegistry(&reg);
@@ -396,6 +402,107 @@ TEST(ChurnLifecycle, LaterChurnReplansAtCurrentRates) {
       << "the retire's plan shares nothing at measured rates";
   EXPECT_EQ(mgr.current_plan(), expected.chosen.plan);
   EXPECT_GT(expected.chosen.score, 0);
+}
+
+// A register before the monitor's first full window plans at zero rates
+// and shares nothing. With no later churn call, that window must evaluate
+// the plan, not only rebase drift detection onto its rates: on this
+// stable-rate stream no drift would ever replace it. The register's churn
+// swap is still in flight when the window closes (boundary 8 s, so its old
+// engines retire at watermark 10 s), so the evaluation's swap is refused
+// there and lands at a later epoch.
+TEST(ChurnLifecycle, FirstFullWindowReplansZeroRateChurnPlan) {
+  ChurnFixture f = MakeFixture(Seconds(60));
+  ShardedRuntime rt(f.workload, f.plan, FixtureOptions(2));
+  ASSERT_TRUE(rt.ok()) << rt.error();
+  const PlanManagerOptions popts;
+  PlanManager mgr(f.workload, &rt, f.plan, popts);
+  QueryRegistry reg(&f.workload);
+  mgr.AttachRegistry(&reg);
+
+  rt.Start();
+  size_t i = 0;
+  for (; i < f.arrivals.size() && f.arrivals[i].time < Seconds(2); ++i) {
+    mgr.Ingest(f.arrivals[i]);
+  }
+  ASSERT_LT(mgr.monitor().epochs_closed(), popts.window_epochs);
+  const ChurnResult add = mgr.RegisterQuery(FixtureChurnQuery(f.workload));
+  ASSERT_TRUE(add.accepted) << add.reason;
+  ASSERT_EQ(mgr.stats().churn_swaps, 1u);
+  ASSERT_TRUE(mgr.current_plan().empty());
+
+  while (i < f.arrivals.size() &&
+         mgr.monitor().epochs_closed() < popts.window_epochs) {
+    mgr.Ingest(f.arrivals[i++]);
+  }
+  EXPECT_EQ(mgr.stats().evaluations, 1u) << "the first full window did "
+                                            "not evaluate the churn plan";
+  while (i < f.arrivals.size() && mgr.stats().swaps_accepted == 0) {
+    mgr.Ingest(f.arrivals[i++]);
+  }
+  ASSERT_EQ(mgr.stats().swaps_accepted, 1u);
+  // The swap was requested in the last call, after the epoch that closed
+  // in it, so the monitor still reports the rates it planned at.
+  const ReoptimizeResult expected =
+      Reoptimize(f.workload, CostModel(mgr.monitor().CurrentRates()),
+                 mgr.current_plan(), popts.optimizer);
+  EXPECT_FALSE(mgr.current_plan().empty());
+  EXPECT_EQ(mgr.current_plan(), expected.chosen.plan);
+
+  // Drift is measured from the swapped-in plan: nothing swaps again.
+  for (; i < f.arrivals.size(); ++i) mgr.Ingest(f.arrivals[i]);
+  rt.Finish();
+  EXPECT_EQ(mgr.stats().swaps_accepted, 1u);
+  EXPECT_EQ(mgr.stats().churn_swaps, 1u);
+}
+
+// A churn call refused before the first full window leaves its zero-rate
+// plan pending. When that window's evaluation holds (here: an infinite
+// hysteresis), the churn retry must not install the zero-rate plan, which
+// nothing would evaluate again; it takes the held evaluation's plan, the
+// same active set at the measured rates.
+TEST(ChurnLifecycle, HeldFirstWindowEvaluationReplansPendingChurn) {
+  ChurnFixture f = MakeFixture(Seconds(30));
+  ShardedRuntime rt(f.workload, f.plan, FixtureOptions(2));
+  ASSERT_TRUE(rt.ok()) << rt.error();
+  PlanManagerOptions popts;
+  popts.hysteresis = std::numeric_limits<double>::infinity();
+  PlanManager mgr(f.workload, &rt, f.plan, popts);
+  QueryRegistry reg(&f.workload);
+  mgr.AttachRegistry(&reg);
+  std::string error;
+  CompiledPlanHandle handle = CompilePlanShared(f.workload, f.plan, &error);
+  ASSERT_TRUE(handle) << error;
+
+  rt.Start();
+  size_t i = 0;
+  for (; i < f.arrivals.size() && f.arrivals[i].time < Seconds(2); ++i) {
+    mgr.Ingest(f.arrivals[i]);
+  }
+  ASSERT_LT(mgr.monitor().epochs_closed(), popts.window_epochs);
+  // Occupy the swap slot with the running plan: its old engines retire
+  // at watermark 10 s, after the first full window's evaluation.
+  const ShardedRuntime::SwapRequest direct = rt.RequestPlanSwap(handle);
+  ASSERT_TRUE(direct.accepted) << direct.reason;
+  const ChurnResult add = mgr.RegisterQuery(FixtureChurnQuery(f.workload));
+  ASSERT_TRUE(add.accepted) << add.reason;
+  ASSERT_EQ(mgr.last_churn_swap().code, OpRefusal::kSwapInFlight);
+
+  while (i < f.arrivals.size() && mgr.stats().evaluations == 0) {
+    mgr.Ingest(f.arrivals[i++]);
+  }
+  ASSERT_EQ(mgr.stats().holds, 1u);
+  ASSERT_EQ(mgr.pending_churn(), 1u) << "the churn swap landed first";
+  const SharingPlan evaluated = mgr.last_reoptimize().chosen.plan;
+  EXPECT_FALSE(evaluated.empty());
+
+  for (; i < f.arrivals.size(); ++i) mgr.Ingest(f.arrivals[i]);
+  rt.Finish();
+  EXPECT_EQ(mgr.pending_churn(), 0u);
+  EXPECT_EQ(mgr.stats().churn_swaps, 1u);
+  EXPECT_EQ(mgr.stats().swaps_accepted, 0u);
+  EXPECT_FALSE(mgr.current_plan().empty()) << "the zero-rate plan landed";
+  EXPECT_EQ(mgr.current_plan(), evaluated);
 }
 
 // A retired id's frozen result surface — windows closing at or before its

@@ -16,13 +16,13 @@
 // monotonically growing result store by design.
 //
 // The optimizer's inner loops are held to the same discipline: the plan
-// finder (§6, Algorithms 3 and 4) keeps each lattice level in flat
-// buffers allocated once per call, so its allocations do not grow with
-// the plans it visits; the Def. 6 conflict test and the cost model's
-// benefit value allocate nothing; candidate expansion (§7.1,
-// Algorithm 5) allocates per option it returns, not per query subset it
-// tries; and building the conflict graph (Algorithm 1) allocates per
-// vertex it keeps, not per edge it finds.
+// finder (§6, Algorithms 3 and 4) keeps its conflict matrix and one
+// candidate mask per depth in buffers reused across components, so its
+// allocations do not grow with the plans it visits; the Def. 6 conflict
+// test and the cost model's benefit value allocate nothing; candidate
+// expansion (§7.1, Algorithm 5) allocates per option it returns, not per
+// query subset it tries; and building the conflict graph (Algorithm 1)
+// allocates per vertex it keeps, not per edge it finds.
 
 #include <gtest/gtest.h>
 
